@@ -59,7 +59,6 @@ from .rigidity import (
     verify_separation,
     witness_at,
     witness_deviation,
-    witness_pair,
 )
 from .thermo import (
     GibbsChain,
@@ -78,7 +77,6 @@ from .treemetric import (
     MetricOracle,
     ball_counts,
     dilation,
-    dist_to_origin,
     graph_from_json,
     gromov_product,
     load_graph,

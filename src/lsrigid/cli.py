@@ -119,20 +119,10 @@ def cmd_thermo_gibbs(args) -> int:
     growth = thermo.solve_growth_rate(ms, pot)
     comp = growth.maximal_components[0]
     td = thermo.pressure(comp, pot, growth.v_star)
-    cylinders: list[tuple[tuple[str, ...], float]] = []
-
-    def extend(path):
-        if len(path) == args.depth:
-            names = tuple(ms.states[i] for i in path)
-            cylinders.append((names, thermo.gibbs_cylinder_weight(td, names)))
-            return
-        for j in ms.succ[path[-1]]:
-            if j in comp.indices:
-                extend(path + [j])
-
-    for s in sorted(comp.indices):
-        extend([s])
-    rows = [(",".join(names), w) for names, w in cylinders]
+    rows = []
+    for path in ms.paths(args.depth - 1, starts=sorted(comp.indices), within=comp.indices):
+        names = tuple(ms.states[i] for i in path)
+        rows.append((",".join(names), thermo.gibbs_cylinder_weight(td, names)))
     if args.csv:
         with open(args.csv, "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -170,7 +160,7 @@ def cmd_thermo_rpf(args) -> int:
 
 
 def _ps_setup(args):
-    ms = coding.build_free_group_coding(args.rank) if not getattr(args, "structure", None) else coding.load_structure(args.structure)
+    ms = _load_structure_arg(args)
     graph = _graph_for(args)
     if graph.rank != ms.rank:
         raise ValidationError(f"graph rank {graph.rank} != coding rank {ms.rank}")
@@ -236,7 +226,7 @@ def cmd_ps_sample(args) -> int:
 
 
 def cmd_rigid_build(args) -> int:
-    ms = coding.build_free_group_coding(args.rank) if not getattr(args, "structure", None) else coding.load_structure(args.structure)
+    ms = _load_structure_arg(args)
     aug = coding.augment(ms)
     ray = psmeasure.load_ray(args.ray, aug)
     classes = words.enumerate_classes(ms.rank, args.maxlen, identify_inverse=True)[: args.classes]
@@ -307,7 +297,7 @@ def _digest_file(path) -> str:
     return _digest_bytes(Path(path).read_bytes())
 
 
-def run_pipeline(config_path, out_dir, threads: int = 1, seed_override: int | None = None) -> dict:
+def run_pipeline(config_path, out_dir, seed_override: int | None = None) -> dict:
     t_start = time.time()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -387,8 +377,7 @@ def run_pipeline(config_path, out_dir, threads: int = 1, seed_override: int | No
 
     with stage("battery"):
         battery = rigidity.separation_battery(
-            rigid, n_pairs=int(config["battery_pairs"]), seed=seed + 1, rank=ms.rank,
-            threads=threads,
+            rigid, n_pairs=int(config["battery_pairs"]), seed=seed + 1, rank=ms.rank
         )
         battery_report = {
             "pairs": battery.pairs,
@@ -442,7 +431,7 @@ def run_pipeline(config_path, out_dir, threads: int = 1, seed_override: int | No
 
 
 def cmd_pipeline(args) -> int:
-    manifest = run_pipeline(args.config, args.out, threads=args.threads, seed_override=args.seed)
+    manifest = run_pipeline(args.config, args.out, seed_override=args.seed)
     print(f"pipeline done in {manifest['wall_clock_s']}s; artifacts in {args.out}")
     print(f"rank: {manifest['rank_report']['rank']}  battery: "
           f"{manifest['battery']['separated']}/{manifest['battery']['pairs']} separated")
@@ -667,7 +656,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--out", default="artifacts")
     p.add_argument("--seed", type=int, default=None, help="override the config seed")
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(fn=cmd_pipeline)
 
     p = sub.add_parser("selfcheck", help="fast subset of the acceptance checks")

@@ -14,7 +14,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Container, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -22,12 +22,11 @@ from .errors import ConvergenceError, NotFoundError, ValidationError
 from .words import (
     ConjClass,
     Word,
+    alphabet,
     char_to_letter,
     cyclic_reduce,
-    letter_key,
     letter_to_char,
     sphere_size,
-    word_key,
 )
 
 INITIAL = "*"
@@ -62,16 +61,7 @@ class MarkovStructure:
                 raise ValidationError("succ/labels length mismatch")
             for j, l in zip(targets, letters):
                 self._label_map[(i, j)] = l
-        # reachability from the initial state
-        start = self._index[self.initial]
-        seen = {start}
-        frontier = [start]
-        while frontier:
-            v = frontier.pop()
-            for u in self.succ[v]:
-                if u not in seen:
-                    seen.add(u)
-                    frontier.append(u)
+        seen = self.reachable([self.initial_index])
         if len(seen) != len(self.states):
             unreachable = [self.states[i] for i in range(len(self.states)) if i not in seen]
             raise ValidationError(f"states unreachable from {self.initial!r}: {unreachable}")
@@ -131,20 +121,56 @@ class MarkovStructure:
                 letters.append(l)
         return Word(tuple(letters), self.rank)
 
-    def paths_from_initial(self, n: int) -> Iterator[tuple[int, ...]]:
-        """All state paths of length n (n edges) starting at the initial state."""
-        start = self.initial_index
+    def paths(
+        self,
+        n: int,
+        starts: Iterable[int] | None = None,
+        within: Container[int] | None = None,
+    ) -> Iterator[tuple[int, ...]]:
+        """Admissible state paths with n edges, in lexicographic successor order.
 
-        def extend(path: list[int], remaining: int) -> Iterator[tuple[int, ...]]:
-            if remaining == 0:
-                yield tuple(path)
-                return
-            for j in self.succ[path[-1]]:
-                path.append(j)
-                yield from extend(path, remaining - 1)
-                path.pop()
+        Paths start at each of ``starts`` in the given order (default: the
+        initial state); every later state lies in ``within`` (default: any
+        state).  The walk keeps one successor iterator per level, so memory is
+        O(n) however many paths there are.
+        """
+        if n < 0:
+            raise ValueError("path length must be nonnegative")
+        if starts is None:
+            starts = (self.initial_index,)
+        succ = self.succ
+        for s in starts:
+            if n == 0:
+                yield (s,)
+                continue
+            path = [s]
+            stack = [iter(succ[s])]
+            while stack:
+                if len(path) == n:  # last level: emit every admissible successor
+                    head = tuple(path)
+                    for j in stack.pop():
+                        if within is None or j in within:
+                            yield head + (j,)
+                    path.pop()
+                    continue
+                j = next(stack[-1], None)
+                if j is None:
+                    stack.pop()
+                    path.pop()
+                elif within is None or j in within:
+                    path.append(j)
+                    stack.append(iter(succ[j]))
 
-        yield from extend([start], n)
+    def reachable(self, starts: Iterable[int], skip: Container[int] = ()) -> set[int]:
+        """States reachable from ``starts`` (which are included) without entering ``skip``."""
+        seen = set(starts)
+        frontier = list(seen)
+        while frontier:
+            for j in self.succ[frontier.pop()]:
+                if j not in seen and j not in skip:
+                    seen.add(j)
+                    frontier.append(j)
+        return seen
 
     def count_paths(self, n: int) -> int:
         """Number of length-n paths from the initial state, by exact matrix power."""
@@ -187,9 +213,7 @@ def build_free_group_coding(rank: int) -> MarkovStructure:
     """
     if rank < 2:
         raise ValueError("rank must be at least 2")
-    letters = sorted(
-        [i for i in range(1, rank + 1)] + [-i for i in range(1, rank + 1)], key=letter_key
-    )
+    letters = alphabet(rank)
     states = (INITIAL,) + tuple(letter_to_char(l) for l in letters)
     state_letter = {i + 1: l for i, l in enumerate(letters)}
     succ: list[tuple[int, ...]] = []
@@ -333,7 +357,7 @@ def validate_strongly_markov(ms: MarkovStructure, radius: int = 8) -> StructureR
         geodesic_bad = 0
         duplicates = 0
         count = 0
-        for path in ms.paths_from_initial(n):
+        for path in ms.paths(n):
             count += 1
             w = ms.ev(path)
             if len(w) != n:
@@ -557,14 +581,7 @@ def classify_components(ms: MarkovStructure, exact: bool | None = None, rel_tol=
 
 def _assert_maximal_disjoint(ms: MarkovStructure, maximal: list[ClassifiedComponent]) -> None:
     for a in maximal:
-        reachable = set(a.component.indices)
-        frontier = list(reachable)
-        while frontier:
-            v = frontier.pop()
-            for j in ms.succ[v]:
-                if j not in reachable:
-                    reachable.add(j)
-                    frontier.append(j)
+        reachable = ms.reachable(a.component.indices)
         for b in maximal:
             if b is not a and reachable & set(b.component.indices):
                 raise ValidationError(

@@ -19,19 +19,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .coding import AugmentedStructure, Component, MarkovStructure, ZERO, classify_components
-from .errors import ResourceCapError, ValidationError
-from .thermo import Potential, TransferData
+from .coding import AugmentedStructure, Component, MarkovStructure, classify_components
+from .errors import ValidationError
+from .thermo import TransferData
 from .treemetric import Metric
-from .words import Word, enumerate_ball, free_reduce, letter_key
+from .words import Word, alphabet, enumerate_ball, free_reduce
 
 DEFAULT_BALL_CAP = 400_000
-
-
-def _letter_order(rank: int) -> list[int]:
-    return sorted(
-        [i for i in range(1, rank + 1)] + [-i for i in range(1, rank + 1)], key=letter_key
-    )
 
 
 def _additive_graph(metric: Metric):
@@ -77,7 +71,7 @@ def partition_sums(metric: Metric, v: float, n_max: int, cap: int = DEFAULT_BALL
     """
     graph = _additive_graph(metric)
     if graph is not None:
-        letters = _letter_order(graph.rank)
+        letters = alphabet(graph.rank)
         lengths = graph.letter_lengths()
         w = np.array([math.exp(-v * float(lengths[l])) for l in letters])
         m = np.zeros((len(letters), len(letters)))
@@ -152,21 +146,6 @@ def _maximal_state_indices(ms: MarkovStructure) -> frozenset:
     return frozenset(out)
 
 
-def _reaches(ms: MarkovStructure, start: int, targets: frozenset) -> bool:
-    zero = ms.index(ZERO) if ZERO in ms.states else None
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        i = frontier.pop()
-        if i in targets:
-            return True
-        for j in ms.succ[i]:
-            if j != zero and j not in seen:
-                seen.add(j)
-                frontier.append(j)
-    return False
-
-
 @dataclass(frozen=True)
 class MassEstimate:
     value: float
@@ -213,7 +192,7 @@ def cylinder_mass_estimate(
         value = math.exp(-v * float(metric.dist(word))) / z_n if len(word) <= n else 0.0
         return MassEstimate(value=value, n=n, prefix=tuple(aug.states[i] for i in idx), null_cylinder=False)
     depth = len(live) - 1
-    null = not _reaches(aug, live[-1], maximal_states)
+    null = maximal_states.isdisjoint(aug.reachable([live[-1]], skip={zero}))
     budget = n - depth
     if budget < 0:
         return MassEstimate(value=0.0, n=n, prefix=tuple(aug.states[i] for i in idx), null_cylinder=null)
@@ -314,25 +293,15 @@ def measure_mass_band(
     pot = td.potential
     v = td.v
     maximal = _maximal_state_indices(aug)
-    zero = aug.zero_index
+    live = frozenset(range(aug.n_states)) - {aug.zero_index}
     ratios: dict[tuple[str, ...], float] = {}
-
-    def visit(path: list[int]) -> None:
-        if len(path) > 1:
-            est = cylinder_mass_estimate(
-                path, aug, metric, v, n, maximal_states=maximal
-            )
+    for d in range(1, depth + 1):
+        for path in aug.paths(d, within=live):
+            est = cylinder_mass_estimate(path, aug, metric, v, n, maximal_states=maximal)
             if not est.null_cylinder:
                 ext = _canonical_extension(aug, path, pot.effective_range)
-                ref = math.exp(-v * float(pot.birkhoff_sum(ext, len(path) - 1)))
+                ref = math.exp(-v * float(pot.birkhoff_sum(ext, d)))
                 ratios[tuple(aug.states[i] for i in path)] = est.value / ref
-        if len(path) - 1 >= depth:
-            return
-        for j in aug.succ[path[-1]]:
-            if j != zero:
-                visit(path + [j])
-
-    visit([aug.initial_index])
     values = list(ratios.values())
     return MassBandReport(depth=depth, n=n, ratios=ratios, band=(min(values), max(values)))
 
@@ -386,7 +355,11 @@ def entry_weight_table(
     n_ref: int = 16,
 ) -> list[tuple[tuple[str, ...], float]]:
     """Prefixes from the initial state into a word-maximal component, weighted
-    by their cylinder-mass estimates.  Deterministic order (depth, then path)."""
+    by their cylinder-mass estimates.
+
+    The order is depth-first pre-order of the walk from the initial state,
+    successors in ``succ`` order, each branch stopping at its first maximal
+    state.  The cumulative draw in ``sample_ray`` depends on this order."""
     maximal = _maximal_state_indices(aug)
     zero = aug.zero_index
     table: list[tuple[tuple[str, ...], float]] = []
@@ -514,20 +487,7 @@ def recurrence_report(ray: RaySample, depth: int, visit_cap: int = 100) -> Recur
     comp = ray.component
     ms = comp.parent
     member = comp.indices
-    cylinders: list[tuple[int, ...]] = []
-
-    def extend(walk: list[int], remaining: int) -> None:
-        if remaining == 0:
-            cylinders.append(tuple(walk))
-            return
-        for j in ms.succ[walk[-1]]:
-            if j in member:
-                walk.append(j)
-                extend(walk, remaining - 1)
-                walk.pop()
-
-    for s in sorted(member):
-        extend([s], depth - 1)
+    cylinders = list(ms.paths(depth - 1, starts=sorted(member), within=member))
     visits: dict[tuple[int, ...], list[int]] = {c: [] for c in cylinders}
     counts: dict[tuple[int, ...], int] = {c: 0 for c in cylinders}
     idx = [int(i) for i in ray.indices]

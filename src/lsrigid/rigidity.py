@@ -147,14 +147,6 @@ def rough_ray(ray: RaySample, limit: int | None = None) -> RoughRay:
 # -- witness pairs ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WitnessPair:
-    cls: ConjClass
-    loop: LoopWitness
-    n1: int
-    n2: int
-
-
 def _occurrence_starts(indices: np.ndarray, pattern: Sequence[int]) -> np.ndarray:
     """Start positions of the exact state pattern inside the ray."""
     n = len(indices)
@@ -165,28 +157,6 @@ def _occurrence_starts(indices: np.ndarray, pattern: Sequence[int]) -> np.ndarra
     for off in range(1, l):
         hit = hit & (indices[off : n - l + 1 + off] == pattern[off])
     return np.nonzero(hit)[0]
-
-
-def witness_pair(
-    c: ConjClass, ray: RaySample, min_pos: int = 1, m_max: int = 8
-) -> WitnessPair:
-    """First loop-cylinder occurrence at position >= min_pos.
-
-    n1 is the position of the opening loop state, n2 = n1 + loop length the
-    position right after the traversal, so ev_{n2} = ev_{n1} * ev(loop).
-    """
-    loop = find_loop_for_class(c, ray.component, m_max)
-    pattern = ray.structure.resolve(loop.states)
-    starts = _occurrence_starts(ray.indices, pattern)
-    starts = starts[starts >= min_pos]
-    if starts.size == 0:
-        raise NotFoundError(
-            f"no occurrence of the loop for [{c}] at position >= {min_pos} "
-            f"within a ray of length {len(ray)}",
-            horizon=len(ray),
-        )
-    n1 = int(starts[0])
-    return WitnessPair(cls=c, loop=loop, n1=n1, n2=n1 + len(pattern) - 1)
 
 
 # -- rigid sets --------------------------------------------------------------------
@@ -602,28 +572,16 @@ class BatteryReport:
         return self.separated == self.pairs
 
 
-def separation_battery(
-    rigid: RigidSet, n_pairs: int, seed: int, rank: int = 2, threads: int = 1
-) -> BatteryReport:
+def separation_battery(rigid: RigidSet, n_pairs: int, seed: int, rank: int = 2) -> BatteryReport:
     """Random distinct metric pairs; the rigid set must separate each of them."""
-
-    def one(i: int) -> tuple[bool, tuple[str, str]]:
+    agree_tags = []
+    for i in range(n_pairs):
         rng = np.random.Generator(np.random.Philox(key=[seed, i]))
         t1, t2 = random_distinct_pair(rng, rank)
-        verdict = verify_separation(rigid, t1, t2)
-        return verdict.separated, (t1.tag, t2.tag)
-
-    results: list[tuple[bool, tuple[str, str]]]
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one, range(n_pairs)))
-    else:
-        results = [one(i) for i in range(n_pairs)]
-    separated = sum(1 for ok, _ in results if ok)
+        if not verify_separation(rigid, t1, t2).separated:
+            agree_tags.append((t1.tag, t2.tag))
     return BatteryReport(
         pairs=n_pairs,
-        separated=separated,
-        agree_tags=tuple(tags for ok, tags in results if not ok),
+        separated=n_pairs - len(agree_tags),
+        agree_tags=tuple(agree_tags),
     )

@@ -76,26 +76,10 @@ class Potential:
         return total
 
 
-def _enumerate_blocks(ms: MarkovStructure, k: int) -> list[tuple[int, ...]]:
-    skip = {ms.index(ZERO)} if ZERO in ms.states else set()
-    blocks: list[tuple[int, ...]] = []
-
-    def extend(walk: list[int], remaining: int) -> None:
-        if remaining == 0:
-            blocks.append(tuple(walk))
-            return
-        for j in ms.succ[walk[-1]]:
-            if j in skip:
-                continue
-            walk.append(j)
-            extend(walk, remaining - 1)
-            walk.pop()
-
-    for start in range(ms.n_states):
-        if start in skip:
-            continue
-        extend([start], k)
-    return blocks
+def _blocks(ms: MarkovStructure, k: int):
+    """Admissible k-edge state paths that avoid the 0 state, from every start."""
+    live = [i for i, name in enumerate(ms.states) if name != ZERO]
+    return ms.paths(k, starts=live, within=frozenset(live))
 
 
 def potential_from_metric(ms: MarkovStructure, metric: Metric, k: int = 6) -> Potential:
@@ -129,7 +113,7 @@ def potential_from_metric(ms: MarkovStructure, metric: Metric, k: int = 6) -> Po
         return value
 
     table = {}
-    for block in _enumerate_blocks(base, k):
+    for block in _blocks(base, k):
         table[block] = increment(labels_of(block))
 
     effective = k
@@ -162,7 +146,7 @@ def constant_potential(ms: MarkovStructure, value=1) -> Potential:
     """Potential identically equal to ``value``; its pressure is the loop growth."""
     base = _base_structure(ms)
     rational = not isinstance(value, float)
-    table = {block: (Fraction(value) if rational else value) for block in _enumerate_blocks(base, 1)}
+    table = {block: (Fraction(value) if rational else value) for block in _blocks(base, 1)}
     return Potential(
         structure=base,
         requested_range=1,
@@ -185,21 +169,7 @@ class BlockShift:
         k = pot.effective_range
         ms = comp.parent
         member = comp.indices
-        blocks: list[tuple[int, ...]] = []
-
-        def extend(walk: list[int], remaining: int) -> None:
-            if remaining == 0:
-                blocks.append(tuple(walk))
-                return
-            for j in ms.succ[walk[-1]]:
-                if j in member:
-                    walk.append(j)
-                    extend(walk, remaining - 1)
-                    walk.pop()
-
-        for start in sorted(member):
-            extend([start], k - 1)
-        blocks.sort()
+        blocks = sorted(ms.paths(k - 1, starts=sorted(member), within=member))
         self.blocks = tuple(blocks)
         self.index = {b: i for i, b in enumerate(blocks)}
         rows: list[int] = []

@@ -23,7 +23,6 @@ from .errors import BelowThresholdError, ValidationError
 from .words import (
     ConjClass,
     Word,
-    apply_substitution,
     cyclic_reduce,
     enumerate_ball,
     letter_to_char,
@@ -280,10 +279,6 @@ class MetricOracle:
 Metric = MetricGraph | MetricOracle
 
 
-def _as_distance(metric: Metric) -> Callable[[Word], Fraction | float]:
-    return metric.dist
-
-
 def rose(lengths: Sequence, tag: str | None = None) -> MetricGraph:
     """Rose with one petal per generator, identity marking."""
     rank = len(lengths)
@@ -327,15 +322,6 @@ def marked_rose(lengths: Sequence, substitution: dict[int, Word], tag: str | Non
         marking=tuple(marking),
         tag=tag or "marked_rose",
     )
-
-
-def pullback_metric(graph: MetricGraph, substitution: dict[int, Word], tag: str | None = None) -> MetricOracle:
-    """Metric of ``graph`` precomposed with an automorphism given as a substitution."""
-
-    def dist(w: Word):
-        return graph.dist(apply_substitution(w, substitution))
-
-    return MetricOracle(dist=dist, rank=graph.rank, tag=tag or f"{graph.tag}_pullback")
 
 
 def graph_from_json(obj: dict) -> MetricGraph:
@@ -414,13 +400,9 @@ def load_graph(path) -> MetricGraph:
 # -- metric functionals ------------------------------------------------------
 
 
-def dist_to_origin(w: Word, graph: MetricGraph) -> Fraction | float:
-    return graph.dist(w)
-
-
 def gromov_product(x: Word, y: Word, metric: Metric) -> Fraction | float:
     """(x, y) at the identity: half of dist(x) + dist(y) - dist(x^-1 y)."""
-    d = _as_distance(metric)
+    d = metric.dist
     value = d(x) + d(y) - d((~x) * y)
     if isinstance(value, Fraction):
         return value / 2
@@ -437,7 +419,7 @@ def tl_via_gromov(x: Word, metric: Metric, threshold=0):
     Raises BelowThresholdError when the value falls below ``threshold``, the
     regime where the general-metric estimate is unreliable.
     """
-    d = _as_distance(metric)
+    d = metric.dist
     value = d(x) - 2 * gromov_product(x, ~x, metric)
     if value < threshold:
         raise BelowThresholdError(
@@ -505,6 +487,6 @@ def ball_counts(metric: Metric, radii: Sequence, word_radius: int | None = None)
         return [counts_at[t] for t in thresholds]
     if word_radius is None:
         raise ValueError("non-additive metric needs an explicit word_radius")
-    d = _as_distance(metric)
+    d = metric.dist
     values = [d(w) for w in enumerate_ball(metric.rank, word_radius)]
     return [sum(1 for v in values if v <= t) for t in thresholds]

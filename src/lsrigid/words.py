@@ -9,7 +9,7 @@ corresponding uppercase letter, so ``"aBa"`` is a * b^-1 * a.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .errors import ResourceCapError
 
@@ -36,6 +36,11 @@ def letter_key(letter: int) -> tuple[int, int]:
 
 def word_key(letters: Sequence[int]) -> tuple[tuple[int, int], ...]:
     return tuple(letter_key(l) for l in letters)
+
+
+def alphabet(rank: int) -> list[int]:
+    """The 2N signed letters of rank N in ``letter_key`` order: a, A, b, B, ..."""
+    return [l for i in range(1, rank + 1) for l in (i, -i)]
 
 
 def _check_rank(rank: int) -> None:
@@ -258,6 +263,15 @@ def ball_size(rank: int, n: int) -> int:
     return sum(sphere_size(rank, k) for k in range(n + 1))
 
 
+def _reduced_words(rank: int, n: int) -> list[tuple[int, ...]]:
+    """All reduced words of length n as letter tuples, in lexicographic order."""
+    out: list[tuple[int, ...]] = [()]
+    letters = alphabet(rank)
+    for _ in range(n):
+        out = [w + (l,) for w in out for l in letters if not w or w[-1] != -l]
+    return out
+
+
 def enumerate_sphere(rank: int, n: int, cap: int = DEFAULT_CAP) -> list[Word]:
     """All reduced words of length n, in lexicographic order."""
     _check_rank(rank)
@@ -270,25 +284,7 @@ def enumerate_sphere(rank: int, n: int, cap: int = DEFAULT_CAP) -> list[Word]:
             requested=expected,
             cap=cap,
         )
-    alphabet = sorted(
-        [i for i in range(1, rank + 1)] + [-i for i in range(1, rank + 1)],
-        key=letter_key,
-    )
-    out: list[Word] = []
-
-    def extend(prefix: list[int], remaining: int) -> None:
-        if remaining == 0:
-            out.append(Word(tuple(prefix), rank))
-            return
-        for l in alphabet:
-            if prefix and prefix[-1] == -l:
-                continue
-            prefix.append(l)
-            extend(prefix, remaining - 1)
-            prefix.pop()
-
-    extend([], n)
-    return out
+    return [Word(letters, rank) for letters in _reduced_words(rank, n)]
 
 
 def enumerate_ball(rank: int, n: int, cap: int = DEFAULT_CAP) -> list[Word]:
@@ -302,27 +298,6 @@ def enumerate_ball(rank: int, n: int, cap: int = DEFAULT_CAP) -> list[Word]:
     for k in range(n + 1):
         out.extend(enumerate_sphere(rank, k, cap=cap))
     return out
-
-
-def _cyclically_reduced_words(rank: int, length: int) -> Iterator[tuple[int, ...]]:
-    alphabet = sorted(
-        [i for i in range(1, rank + 1)] + [-i for i in range(1, rank + 1)],
-        key=letter_key,
-    )
-
-    def extend(prefix: list[int], remaining: int) -> Iterator[tuple[int, ...]]:
-        if remaining == 0:
-            if len(prefix) < 2 or prefix[0] != -prefix[-1]:
-                yield tuple(prefix)
-            return
-        for l in alphabet:
-            if prefix and prefix[-1] == -l:
-                continue
-            prefix.append(l)
-            yield from extend(prefix, remaining - 1)
-            prefix.pop()
-
-    yield from extend([], length)
 
 
 def enumerate_classes(
@@ -347,7 +322,9 @@ def enumerate_classes(
     out: list[ConjClass] = []
     for length in range(1, max_length + 1):
         seen: set[tuple[int, ...]] = set()
-        for letters in _cyclically_reduced_words(rank, length):
+        for letters in _reduced_words(rank, length):
+            if len(letters) >= 2 and letters[0] == -letters[-1]:
+                continue  # not cyclically reduced
             canon = _canonical_rotation(letters, identify_inverse)
             if canon not in seen:
                 seen.add(canon)

@@ -5,10 +5,12 @@ Claims covered:
     - validation reports geodesic violations and bijection deficits with
       counterexamples on doctored structures
     - augmentation adds the absorbing 0 state without changing images
+    - the path enumerator and the reachability walk agree with brute force
     - component decomposition, exact spectral radii, word-maximality flags
     - loop representatives spell cyclically reduced words with power 1
 """
 
+import itertools
 import json
 
 import numpy as np
@@ -52,9 +54,64 @@ def test_path_counts_match_spheres(free2):
 
 
 def test_every_short_path_spells_reduced_word(free2):
-    for path in free2.paths_from_initial(3):
+    for path in free2.paths(3):
         w = free2.ev(path)
         assert len(w) == 3
+
+
+def _brute_paths(ms, n, starts, within):
+    """Admissible n-edge paths, filtered from all state sequences in index order."""
+    out = []
+    for s in starts:
+        for rest in itertools.product(range(ms.n_states), repeat=n):
+            path = (s,) + rest
+            if ms.admissible(path) and (within is None or set(rest) <= within):
+                out.append(path)
+    return out
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: build_free_group_coding(2),
+        lambda: build_free_group_coding(3),
+        lambda: fixtures.coding_with_tail_cycle(2),
+    ],
+    ids=["free2", "free3", "tail_cycle"],
+)
+def test_paths_match_brute_force(make):
+    ms = make()
+    everywhere = list(range(ms.n_states))
+    comps, _ = scc_decompose(ms)
+    for n in range(4):
+        assert list(ms.paths(n)) == _brute_paths(ms, n, [ms.initial_index], None)
+        assert list(ms.paths(n, starts=everywhere)) == _brute_paths(ms, n, everywhere, None)
+        for comp in comps:
+            # starts are taken in the order given, not sorted
+            starts = sorted(comp.indices, reverse=True)
+            got = list(ms.paths(n, starts=starts, within=comp.indices))
+            assert got == _brute_paths(ms, n, starts, set(comp.indices))
+    with pytest.raises(ValueError):
+        next(ms.paths(-1))
+
+
+def test_reachable_dead_end_and_tail_cycle():
+    dead = fixtures.coding_with_dead_end(2)
+    d = dead.index("d")
+    assert dead.reachable([dead.initial_index]) == set(range(dead.n_states))
+    assert dead.reachable([d]) == {d}
+    assert dead.reachable([dead.initial_index], skip={d}) == set(range(dead.n_states)) - {d}
+    aug = augment(dead)
+    assert aug.reachable([d]) == {d, aug.zero_index}
+    assert aug.reachable([d], skip={aug.zero_index}) == {d}
+    tail = fixtures.coding_with_tail_cycle(2)
+    cycle = {tail.index("c1"), tail.index("c2")}
+    free_part = {tail.index(s) for s in ("a", "A", "b", "B")}
+    assert tail.reachable([tail.index("c2")]) == cycle
+    assert tail.reachable([tail.index("a")]) == free_part
+    assert tail.reachable([tail.initial_index], skip={tail.index("c1")}) == (
+        free_part | {tail.initial_index}
+    )
 
 
 def test_ball_bijection_counts():
@@ -171,6 +228,10 @@ def test_two_disjoint_maximal_components():
     doubled = fixtures._with_extra(free, mirror_states, edges)
     report = classify_components(doubled)
     assert sum(1 for c in report.components if c.word_maximal) == 2
+    # one edge from the first copy into the second connects the two
+    bridged = fixtures._with_extra(free, mirror_states, edges + [("a", "aa", 1)])
+    with pytest.raises(ValidationError, match="connected"):
+        classify_components(bridged)
 
 
 def test_find_loop_examples(comp2):
