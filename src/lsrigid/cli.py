@@ -115,6 +115,8 @@ def cmd_thermo_growth(args) -> int:
 
 
 def cmd_thermo_gibbs(args) -> int:
+    if args.depth < 1:
+        raise ValidationError(f"--depth must be at least 1, got {args.depth}")
     ms, _, pot = _growth_setup(args)
     growth = thermo.solve_growth_rate(ms, pot)
     comp = growth.maximal_components[0]
@@ -515,6 +517,19 @@ def _selfcheck_rows():
             f"backtracking edge flagged (counterexample {rep.counterexample})"
         )
 
+    def check_folding():
+        subst = lambda spec: words.parse_substitution(spec, 2)
+        try:
+            treemetric.marked_rose([1, 1], subst({"a": "aa", "b": "b"}))
+            return False, "index-2 marking {a: aa, b: b} accepted"
+        except ValidationError:
+            pass
+        twist = subst({"a": "a", "b": "b"})
+        for move in ({"a": "ab", "b": "b"}, {"a": "a", "b": "bA"}, {"a": "aB", "b": "b"}):
+            twist = words.compose_substitutions(subst(move), twist)
+        treemetric.marked_rose([1, 1], twist)
+        return True, "index-2 marking {a: aa, b: b} rejected, 3-move twisted rose accepted"
+
     return [
         ("coding bijection", check_bijection),
         ("component classification", check_components),
@@ -524,6 +539,7 @@ def _selfcheck_rows():
         ("loop representatives", check_loops),
         ("sampler determinism", check_determinism),
         ("doctored validation", check_doctored_validation),
+        ("marking folding", check_folding),
     ]
 
 

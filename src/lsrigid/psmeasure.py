@@ -484,6 +484,8 @@ class RecurrenceReport:
 
 def recurrence_report(ray: RaySample, depth: int, visit_cap: int = 100) -> RecurrenceReport:
     """First-visit positions of every depth-``depth`` cylinder of the ray's component."""
+    if depth < 1:
+        raise ValidationError(f"cylinder depth must be at least 1, got {depth}")
     comp = ray.component
     ms = comp.parent
     member = comp.indices

@@ -16,6 +16,7 @@ import csv
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -187,22 +188,31 @@ class RigidSet:
     ray_seed: int | None = None
     ray_length: int | None = None
 
-    def witness_classes(self) -> list[ConjClass]:
-        seen = {}
-        for e in self.entries:
-            for wc, ell in ((e.witness_class1, e.ell1), (e.witness_class2, e.ell2)):
-                seen.setdefault(wc, ell)
-        return sorted(seen, key=lambda c: (len(c.letters), word_key(c.letters)))
+    # Witness classes can be thousands of letters long and are queried once
+    # per battery pair and per plot point, so they are hashed and sorted once.
 
-    def witness_lengths(self) -> dict[ConjClass, int]:
+    @cached_property
+    def _witness_lengths(self) -> dict[ConjClass, int]:
         out = {}
         for e in self.entries:
             out.setdefault(e.witness_class1, e.ell1)
             out.setdefault(e.witness_class2, e.ell2)
         return out
 
+    @cached_property
+    def _witness_order(self) -> tuple[ConjClass, ...]:
+        return tuple(
+            sorted(self._witness_lengths, key=lambda c: (len(c.letters), word_key(c.letters)))
+        )
+
+    def witness_classes(self) -> list[ConjClass]:
+        return list(self._witness_order)
+
+    def witness_lengths(self) -> dict[ConjClass, int]:
+        return dict(self._witness_lengths)
+
     def count_below(self, t: float) -> int:
-        return sum(1 for ell in self.witness_lengths().values() if ell < t)
+        return sum(1 for ell in self._witness_lengths.values() if ell < t)
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:

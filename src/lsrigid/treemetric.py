@@ -7,6 +7,13 @@ orbit of the basepoint and translation lengths are computed by tightening edge
 paths, which is exact.  Edge lengths given as ints, Fractions or strings are
 kept in exact rational arithmetic; floats switch the graph to binary64.
 
+A marking is accepted iff it induces an isomorphism from the free group onto
+the fundamental group of the graph at the basepoint.  The test folds the
+marking paths (Stallings): the folded graph must embed into the graph, one
+folded vertex over each graph vertex it reaches, with first Betti number equal
+to the rank.  Its cost is near-linear in the total marking length, whatever
+the rank.
+
 The rose with unit lengths realises the word metric; a rose with a basis
 substitution (an automorphism applied to the marking) gives non-trivially
 marked points of Outer Space and is how the test battery builds them.
@@ -164,16 +171,74 @@ class MetricGraph:
                 at = dst
             if at != self.basepoint:
                 raise ValidationError(f"marking for generator {i} is not a closed path")
-        # injectivity of the induced map on the ball of radius 3: no non-trivial
-        # word of length <= 6 may tighten to the trivial path
-        for w in enumerate_ball(self.rank, 6, cap=10_000_000):
-            if w.is_identity():
+        self._fold_marking()
+
+    def _fold_marking(self) -> None:
+        """Accept iff the marking induces an isomorphism F_rank -> pi_1(G).
+
+        Stallings folding (Topology of finite graphs, 1983): subdivide a rose
+        so that petal i spells marking path i, labelling each edge by its
+        signed G-edge, then identify edges that leave one vertex with one
+        label.  The folded graph immerses into G and carries the image
+        subgroup as its fundamental group.  An immersion that is injective
+        on vertices (and so on edges) embeds a subgraph; with Betti number
+        equal to the rank that subgraph carries all of pi_1(G), and a
+        surjection between free groups of equal finite rank is injective
+        (they are Hopfian).  Conversely an isomorphism folds onto a subgraph
+        of G, so the test is exact.  Merging the smaller label table into the
+        larger keeps the cost near-linear in the total marking length.
+        """
+        parent = [0]
+        image = [self.basepoint]
+        out: list[dict[int, int]] = [{}]  # per vertex: signed label -> neighbour
+        pending: list[tuple[int, int, int]] = []
+        for path in self.marking:
+            at = 0
+            for k, e in enumerate(path):
+                if k == len(path) - 1:
+                    nxt = 0
+                else:
+                    nxt = len(parent)
+                    parent.append(nxt)
+                    image.append(self._edge_endpoints(e)[1])
+                    out.append({})
+                pending.append((at, e, nxt))
+                pending.append((nxt, -e, at))
+                at = nxt
+
+        def find(v: int) -> int:
+            while parent[v] != v:
+                parent[v] = parent[parent[v]]
+                v = parent[v]
+            return v
+
+        while pending:
+            u, e, v = pending.pop()
+            u, v = find(u), find(v)
+            w = find(out[u].setdefault(e, v))
+            if w == v:
                 continue
-            if not self._tight_path(w):
+            # two edges leave u with label e: fold them by merging their ends
+            if len(out[v]) < len(out[w]):
+                v, w = w, v
+            parent[w] = v
+            pending.extend((v, label, x) for label, x in out[w].items())
+            out[w] = {}
+        roots = [v for v in range(len(parent)) if parent[v] == v]
+        over: dict[str, int] = {}
+        for v in roots:
+            if over.setdefault(image[v], v) != v:
                 raise ValidationError(
-                    f"marking kills the ball of radius 3: {w} tightens to a point",
-                    counterexample=str(w),
+                    "marking is not an isomorphism onto pi_1: the folded marking "
+                    f"paths do not embed (two folded vertices lie over {image[v]!r})"
                 )
+        # every folded edge is stored twice, once per direction
+        betti = sum(len(out[v]) for v in roots) // 2 - len(roots) + 1
+        if betti != self.rank:
+            raise ValidationError(
+                "marking is not an isomorphism onto pi_1: the folded marking "
+                f"paths have first Betti number {betti} != rank {self.rank}"
+            )
 
     # -- queries ------------------------------------------------------------
 

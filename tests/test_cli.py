@@ -3,6 +3,8 @@
 Claims covered:
     - pipeline artifacts are a pure function of (config, seed): pinned digests
     - ``thermo gibbs`` lists every depth-d cylinder of the maximal component
+      and rejects depth < 1 with the validation exit code
+    - ``selfcheck`` passes every row, the marking-folding row included
 """
 
 import hashlib
@@ -39,3 +41,17 @@ def test_thermo_gibbs_cylinders(tmp_path, capsys):
     assert len(rows) == 12
     assert all(abs(float(w) - 1 / 12) < 1e-12 for _, w in rows)
     assert lines[-1] == "total mass depth 2: 1.000000000000"
+
+
+def test_thermo_gibbs_rejects_depth_zero(tmp_path, capsys):
+    graph = tmp_path / "rose.json"
+    graph.write_text(json.dumps({"rose": [1, 1]}))
+    assert cli.main(["thermo", "gibbs", "--graph", str(graph), "--depth", "0"]) == 2
+    assert "--depth must be at least 1" in capsys.readouterr().err
+
+
+def test_selfcheck_passes(capsys):
+    assert cli.main(["selfcheck"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert len(rows) == len(cli._selfcheck_rows())
+    assert any(row.startswith("marking folding") and "PASS" in row for row in rows)

@@ -8,7 +8,7 @@ Claims covered:
       extensions (0 included), stabilisation at depth 1, null-cylinder decay
     - measured two-sided bounds around exp(-v Birkhoff sum)
     - sampler: determinism, seed sensitivity, Gibbs statistics, entry table
-    - recurrence reports and ray file round trips
+    - recurrence reports (depth < 1 rejected) and ray file round trips
 """
 
 import math
@@ -234,6 +234,12 @@ def test_recurrence_short_horizon(aug2, comp2, td_unit, entry_table_unit):
     ray = sample_ray(aug2, {comp2: td_unit}, entry_table_unit, 10, seed=4)
     rep = recurrence_report(ray, 6)
     assert rep.unvisited  # horizon too short, reported rather than an error
+
+
+def test_recurrence_rejects_depth_below_one(aug2, comp2):
+    ray = RaySample.synthetic(aug2, ("*",) + ("a", "b") * 5, comp2)
+    with pytest.raises(ValidationError):
+        recurrence_report(ray, 0)
 
 
 def test_ray_file_round_trip(aug2, comp2, td_unit, entry_table_unit, tmp_path):

@@ -6,6 +6,10 @@ Claims covered:
     - translation lengths: cyclic tightening vs the iterative-quotient oracle
     - the translation-length formula dist - 2(x, x^-1) is exact on trees
     - marking validation catches broken and non-injective markings
+    - folding accepts exactly the markings that are isomorphisms: it rejects
+      non-surjective and non-injective markings, accepts every battery draw
+      and dangling trees, and agrees with the short-word kernel oracle
+    - graphs of rank 8 build (the ball check could not reach them)
     - JSON round trips for roses, twisted roses and general graphs
 """
 
@@ -13,11 +17,12 @@ import json
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lsrigid import treemetric, words
+from lsrigid import rigidity, treemetric, words
 from lsrigid.errors import BelowThresholdError, ValidationError
 from lsrigid.treemetric import (
     MetricGraph,
@@ -213,18 +218,21 @@ def test_theta_graph_distances(theta_graph):
     assert not theta_graph.additive
 
 
+MARKING_BASE = {
+    "rank": 2,
+    "vertices": ["u", "w"],
+    "edges": [
+        {"id": "p", "from": "u", "to": "u", "length": 1},
+        {"id": "q", "from": "u", "to": "w", "length": 1},
+        {"id": "r", "from": "w", "to": "u", "length": 1},
+    ],
+    "basepoint": "u",
+    "marking": {"a": "p", "b": "q r"},
+}
+
+
 def test_marking_validation_errors():
-    base = {
-        "rank": 2,
-        "vertices": ["u", "w"],
-        "edges": [
-            {"id": "p", "from": "u", "to": "u", "length": 1},
-            {"id": "q", "from": "u", "to": "w", "length": 1},
-            {"id": "r", "from": "w", "to": "u", "length": 1},
-        ],
-        "basepoint": "u",
-        "marking": {"a": "p", "b": "q r"},
-    }
+    base = MARKING_BASE
     not_closed = json.loads(json.dumps(base))
     not_closed["marking"]["b"] = "q"
     with pytest.raises(ValidationError):
@@ -245,6 +253,103 @@ def test_marking_validation_errors():
     bad_length["edges"][0]["length"] = 0
     with pytest.raises(ValidationError):
         treemetric.graph_from_json(bad_length)
+
+
+def _substituted_rose(spec):
+    rank = len(spec)
+    return marked_rose([1] * rank, words.parse_substitution(spec, rank))
+
+
+def _short_kernel_word(graph, radius):
+    """The brute-force check folding replaced: a non-trivial word of length
+    <= radius whose marking path tightens to a point, or None."""
+    for w in words.enumerate_ball(graph.rank, radius):
+        if not w.is_identity() and graph.dist(w) == 0:
+            return w
+    return None
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"a": "aa", "b": "b"},  # image of index 2
+        {"a": "aba", "b": "b"},  # image of index 2
+        {"a": "a", "b": "b", "c": "aaaabbb"},  # not injective: c maps into <a, b>
+    ],
+)
+def test_folding_rejects_non_isomorphisms(spec):
+    with pytest.raises(ValidationError) as info:
+        _substituted_rose(spec)
+    assert info.value.exit_code == 2
+
+
+def test_folding_accepts_isomorphisms(theta_graph, twisted):
+    base = treemetric.graph_from_json(MARKING_BASE)
+    assert base.dist(Word.from_str("b", 2)) == 2
+    assert theta_graph.dist(Word.from_str("b", 2)) == 2
+    assert twisted.dist(Word.from_str("a", 2)) == 2
+    # basepoint on a bridge off the core: the marking paths cross it twice
+    bridged = treemetric.graph_from_json(
+        {
+            "rank": 2,
+            "vertices": ["o", "u"],
+            "edges": [
+                {"id": "s", "from": "o", "to": "u", "length": 1},
+                {"id": "p", "from": "u", "to": "u", "length": 1},
+                {"id": "q", "from": "u", "to": "u", "length": 2},
+            ],
+            "basepoint": "o",
+            "marking": {"a": "s p -s", "b": "s q -s"},
+        }
+    )
+    assert bridged.dist(Word.from_str("a", 2)) == 3
+    assert translation_length(ConjClass.from_str("ab", 2), bridged) == 3
+    # a dangling edge the marking never reaches, and a marking path that backtracks
+    dangling = json.loads(json.dumps(MARKING_BASE))
+    dangling["vertices"].append("x")
+    dangling["edges"].append({"id": "h", "from": "w", "to": "x", "length": 1})
+    dangling["marking"]["b"] = "q h -h r"
+    assert treemetric.graph_from_json(dangling).dist(Word.from_str("b", 2)) == 2
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(2, 4), st.integers(0, 2**32 - 1))
+def test_battery_draws_are_accepted(rank, seed):
+    graph = rigidity.random_marked_metric(np.random.default_rng(seed), rank)
+    assert graph.rank == rank
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(2, 3).flatmap(
+        lambda rank: st.tuples(
+            st.just(rank),
+            st.lists(
+                st.lists(st.sampled_from(words.alphabet(rank)), min_size=1, max_size=4),
+                min_size=rank,
+                max_size=rank,
+            ),
+        )
+    )
+)
+def test_folding_accepts_no_short_kernel(drawn):
+    rank, images = drawn
+    subst = {i: words.reduce(raw, rank) for i, raw in enumerate(images, start=1)}
+    try:
+        graph = marked_rose([1] * rank, subst)
+    except ValidationError:
+        return
+    assert _short_kernel_word(graph, 4) is None
+
+
+def test_rank8_graphs_build():
+    unit = word_metric(8)
+    assert unit.dist(Word.from_str("abcdefgh", 8)) == 8
+    spec = {c: c for c in "abcdefgh"}
+    spec.update(a="ab", h="hG")
+    twisted8 = _substituted_rose(spec)
+    assert twisted8.dist(Word.from_str("a", 8)) == 2
+    assert twisted8.dist(Word.from_str("aB", 8)) == 1
 
 
 def test_json_round_trip(theta_graph, tmp_path):
