@@ -9,6 +9,7 @@ stochastic commands are deterministic functions of (config, seed).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import hashlib
 import json
@@ -299,23 +300,20 @@ def _digest_file(path) -> str:
     return _digest_bytes(Path(path).read_bytes())
 
 
+@contextlib.contextmanager
+def stage(name):
+    """Tag an error raised inside a pipeline stage with the stage's name."""
+    try:
+        yield
+    except Exception as exc:
+        raise StageError(name, exc) from exc
+
+
 def run_pipeline(config_path, out_dir, seed_override: int | None = None) -> dict:
     t_start = time.time()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     inputs: dict[str, str] = {}
-
-    def stage(name):
-        class _Ctx:
-            def __enter__(self):
-                return None
-
-            def __exit__(self, exc_type, exc, tb):
-                if exc is not None and not isinstance(exc, StageError):
-                    raise StageError(name, exc) from exc
-                return False
-
-        return _Ctx()
 
     with stage("config"):
         raw = Path(config_path).read_bytes()
@@ -490,7 +488,13 @@ def _selfcheck_rows():
         unit = treemetric.word_metric(2)
         sums = psmeasure.partition_sums(unit, math.log(3), 10)
         gap = max(abs(sums[n] - (1 + 4 * n / 3)) for n in range(11))
-        return gap < 1e-10, f"Z_n = 1 + 4n/3 exactly (max gap {gap:.1e})"
+        twisted = treemetric.marked_rose([1, 1], words.parse_substitution({"a": "ab", "b": "b"}, 2))
+        listed = psmeasure.ball_measure(twisted, math.log(3), 6).partition_sum
+        err = abs(psmeasure.partition_sums(twisted, math.log(3), 6)[6] / listed - 1)
+        return gap < 1e-10 and err < 1e-12, (
+            f"Z_n = 1 + 4n/3 exactly (max gap {gap:.1e}); "
+            f"twisted rose Z_6 = listed ball (rel err {err:.1e})"
+        )
 
     def check_loops():
         comp = coding.classify_components(ms2).maximal()[0].component

@@ -8,6 +8,11 @@ word-maximal component.  The limiting boundary measure is never materialised:
 it is represented operationally by an entry-weight table over the transient
 prefixes plus the Gibbs chain of the entered component, which is equivalent
 (same null sets) and exactly what the rigidity construction consumes.
+
+Partition sums and cylinder masses are exact for every marked metric: a
+letter changes the distance by an amount read off the last K letters
+(``treemetric.window_increments``), so both are one dynamic programme over
+(coding state, last K+1 letters).  Only ``ball_measure`` lists the ball.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -22,17 +28,10 @@ import numpy as np
 from .coding import AugmentedStructure, Component, MarkovStructure, classify_components
 from .errors import ValidationError
 from .thermo import TransferData
-from .treemetric import Metric
-from .words import Word, alphabet, enumerate_ball, free_reduce
+from .treemetric import Increments, Metric, window_increments
+from .words import Word, enumerate_ball
 
 DEFAULT_BALL_CAP = 400_000
-
-
-def _additive_graph(metric: Metric):
-    graph = metric if hasattr(metric, "walker") else metric.graph
-    if graph is not None and graph.additive:
-        return graph
-    return None
 
 
 @dataclass(frozen=True)
@@ -62,39 +61,34 @@ def ball_measure(metric: Metric, v: float, n: int, cap: int = DEFAULT_BALL_CAP) 
     )
 
 
-def partition_sums(metric: Metric, v: float, n_max: int, cap: int = DEFAULT_BALL_CAP) -> list[float]:
+def _layer_sums(moves, start, inc: Increments, v: float, steps: int) -> list[float]:
+    """Entry m: the sum of exp(-v * (increments along w)) over the m-step walks
+    w from ``start``, for m = 0..steps; ``moves(key)`` lists the (next key,
+    window state) steps.  A dynamic programme, so the cost is linear in
+    ``steps``."""
+    factor = {state: math.exp(-v * float(d)) for state, d in inc.table.items()}
+    layer = {start: 1.0}
+    sums = [1.0]
+    for _ in range(steps):
+        nxt: dict = {}
+        for key, weight in layer.items():
+            for key2, state in moves(key):
+                nxt[key2] = nxt.get(key2, 0.0) + weight * factor[state]
+        layer = nxt
+        sums.append(sum(layer.values()))
+    return sums
+
+
+def partition_sums(metric: Metric, v: float, n_max: int) -> list[float]:
     """Z_n = sum over the radius-n word ball of exp(-v dist), for n = 0..n_max.
 
-    Additive (rose-marked) metrics use exact last-letter dynamic programming,
-    which evaluates the same sum without enumerating the ball; other metrics
-    fall back to enumeration under the resource cap.
+    Exact for every metric without listing the ball: the walk appends one
+    letter per step to the reduced words and reads each distance change off
+    ``window_increments``.
     """
-    graph = _additive_graph(metric)
-    if graph is not None:
-        letters = alphabet(graph.rank)
-        lengths = graph.letter_lengths()
-        w = np.array([math.exp(-v * float(lengths[l])) for l in letters])
-        m = np.zeros((len(letters), len(letters)))
-        for ti, t in enumerate(letters):
-            for si, s in enumerate(letters):
-                if s != -t:
-                    m[ti, si] = w[ti]
-        vec = w.copy()
-        out = [1.0]
-        total = 1.0
-        for _ in range(n_max):
-            total += float(vec.sum())
-            out.append(total)
-            vec = m @ vec
-        return out
-    words_in_ball = enumerate_ball(metric.rank, n_max, cap=cap)
-    out = [0.0] * (n_max + 1)
-    for w in words_in_ball:
-        x = math.exp(-v * float(metric.dist(w)))
-        out[len(w)] += x
-    for n in range(1, n_max + 1):
-        out[n] += out[n - 1]
-    return out
+    inc = window_increments(metric)
+    moves = lambda state: [(nxt, nxt) for nxt in inc.extend(state)]
+    return list(accumulate(_layer_sums(moves, (), inc, v, n_max)))
 
 
 @dataclass(frozen=True)
@@ -161,15 +155,17 @@ def cylinder_mass_estimate(
     v: float,
     n: int,
     maximal_states: frozenset | None = None,
-    cap: int = DEFAULT_BALL_CAP,
 ) -> MassEstimate:
     """Ball-measure mass of the cylinder of paths extending the given prefix.
 
     Sums exp(-v dist) over all group elements in the radius-n ball whose
     coding path starts with the prefix, normalised by the full partition sum
-    Z_n.  Trailing 0 states pin the cylinder to a single element.  Prefixes
-    from which no word-maximal component is reachable are flagged null; their
-    mass decays to 0 as n grows.
+    Z_n: the walk of ``partition_sums``, over the 0-free successors of the
+    prefix's last state.  The coding's paths must spell reduced words, as in
+    a strongly Markov coding; a step that cancels raises ValidationError.
+    Trailing 0 states pin the cylinder to a single element.  Prefixes from
+    which no word-maximal component is reachable are flagged null; their mass
+    decays to 0 as n grows.
     """
     idx = list(aug.resolve(prefix))
     if idx[0] != aug.initial_index:
@@ -185,7 +181,7 @@ def cylinder_mass_estimate(
     else:
         live = idx
     word = aug.ev(live)
-    z_n = partition_sums(metric, v, n, cap=cap)[n]
+    z_n = partition_sums(metric, v, n)[n]
     if maximal_states is None:
         maximal_states = _maximal_state_indices(aug)
     if zero in idx:
@@ -196,41 +192,20 @@ def cylinder_mass_estimate(
     budget = n - depth
     if budget < 0:
         return MassEstimate(value=0.0, n=n, prefix=tuple(aug.states[i] for i in idx), null_cylinder=null)
-    graph = _additive_graph(metric)
-    if graph is not None:
-        lengths = graph.letter_lengths()
-        vec = np.zeros(aug.n_states)
-        vec[live[-1]] = 1.0
-        acc = 1.0  # m = 0 term
-        for _ in range(budget):
-            nxt = np.zeros(aug.n_states)
-            for i in np.nonzero(vec)[0]:
-                for j in aug.succ[int(i)]:
-                    if j == zero:
-                        continue
-                    nxt[j] += vec[i] * math.exp(-v * float(lengths[aug.label_of(int(i), j)]))
-            vec = nxt
-            acc += float(vec.sum())
-        value = math.exp(-v * float(metric.dist(word))) * acc / z_n
-        return MassEstimate(value=value, n=n, prefix=tuple(aug.states[i] for i in idx), null_cylinder=null)
-    # generic metric: enumerate continuations, tracking exact distances
-    total = 0.0
+    inc = window_increments(metric)
 
-    def extend(state: int, w: Word, remaining: int) -> None:
-        nonlocal total
-        total += math.exp(-v * float(metric.dist(w)))
-        if remaining == 0:
-            return
-        for j in aug.succ[state]:
-            if j == zero:
-                continue
-            letter = aug.label_of(state, j)
-            extend(j, Word(free_reduce(w.letters + (letter,)), w.rank), remaining - 1)
+    def moves(key):  # key: (coding state, window state); edges into 0 carry label 0
+        i, u = key
+        for j, x in zip(aug.succ[i], aug.labels[i]):
+            if u and x == -u[-1]:
+                raise ValidationError(f"coding edge {aug.states[i]} -> {aug.states[j]} cancels a letter")
+            if x:
+                u2 = inc.step(u, x)
+                yield (j, u2), u2
 
-    extend(live[-1], word, budget)
-    return MassEstimate(
-        value=total / z_n, n=n, prefix=tuple(aug.states[i] for i in idx), null_cylinder=null
-    )
+    acc = sum(_layer_sums(moves, (live[-1], word.letters[-inc.window - 1 :]), inc, v, budget))
+    value = math.exp(-v * float(metric.dist(word))) * acc / z_n
+    return MassEstimate(value=value, n=n, prefix=tuple(aug.states[i] for i in idx), null_cylinder=null)
 
 
 def _canonical_extension(aug: AugmentedStructure, idx: Sequence[int], extra: int) -> list[int]:

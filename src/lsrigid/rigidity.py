@@ -428,13 +428,10 @@ def _rational_rank(rows: Sequence[Sequence[int]]) -> int:
     return rank
 
 
-def rose_rank_check(rigid: RigidSet, rank: int | None = None) -> int:
+def rose_rank_check(rigid: RigidSet) -> int:
     """Rational rank of the occurrence matrix; equal to the rank of the group
     iff the witness lengths pin down every rose's edge lengths."""
-    if rank is None:
-        rank = rigid.rank
-    matrix = occurrence_matrix(rigid)
-    return _rational_rank(matrix.counts)
+    return _rational_rank(occurrence_matrix(rigid).counts)
 
 
 @dataclass(frozen=True)
@@ -455,10 +452,9 @@ def recover_lengths(
     targets surface as a residual above tol with ``consistent`` unset.
     """
     matrix = occurrence_matrix(rigid)
-    if _rational_rank(matrix.counts) < rigid.rank:
-        raise ValidationError(
-            f"occurrence matrix rank {_rational_rank(matrix.counts)} < {rigid.rank}"
-        )
+    rank = _rational_rank(matrix.counts)
+    if rank < rigid.rank:
+        raise ValidationError(f"occurrence matrix rank {rank} < {rigid.rank}")
     getter = targets.__getitem__ if isinstance(targets, dict) else targets
     a = matrix.as_array().astype(float)
     b = np.array([float(getter(c)) for c in matrix.classes])

@@ -23,7 +23,7 @@ import scipy.sparse as sp
 
 from .coding import AugmentedStructure, Component, MarkovStructure, ZERO, classify_components
 from .errors import ConvergenceError, LsrigidError, ValidationError
-from .treemetric import Metric
+from .treemetric import Metric, window_increments
 from .words import Word
 
 EIG_RESIDUAL_TOL = 1e-10
@@ -536,11 +536,13 @@ def sweep_telescoping(
     Samples uniform non-backtracking paths from the initial state and reports,
     for each k, the largest deviation between the Birkhoff sum and the true
     distance of the spelled word over all prefixes of length <= n_steps.
+    The coding's paths must spell reduced words; a step that cancels raises
+    ValidationError.
     """
     base = _base_structure(ms)
     k_max = max(ks)
     rng = np.random.Generator(np.random.Philox(key=seed))
-    graph = metric if hasattr(metric, "walker") else metric.graph
+    inc = window_increments(metric)
     pots = {k: potential_from_metric(base, metric, k) for k in ks}
     defects = {k: 0.0 for k in ks}
     zero = base.index(ZERO) if ZERO in base.states else None
@@ -553,16 +555,14 @@ def sweep_telescoping(
             path.append(options[int(rng.integers(len(options)))])
         # exact distances of every prefix
         dists = []
-        if graph is not None:
-            walker = graph.walker()
-            for i, j in zip(path, path[1:]):
-                walker.push(base.label_of(i, j))
-                dists.append(walker.dist)
-        else:
-            word = []
-            for i, j in zip(path, path[1:]):
-                word.append(base.label_of(i, j))
-                dists.append(metric.dist(Word(tuple(word), base.rank)))
+        state, total = (), 0
+        for i, j in zip(path, path[1:]):
+            x = base.label_of(i, j)
+            if state and x == -state[-1]:
+                raise ValidationError(f"coding edge {base.states[i]} -> {base.states[j]} cancels a letter")
+            state = inc.step(state, x)
+            total += inc.table[state]
+            dists.append(total)
         for k in ks:
             pot = pots[k]
             running = Fraction(0) if pot.rational else 0.0

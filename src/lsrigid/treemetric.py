@@ -14,6 +14,11 @@ folded vertex over each graph vertex it reaches, with first Betti number equal
 to the rank.  Its cost is near-linear in the total marking length, whatever
 the rank.
 
+Exact sums over balls rest on bounded cancellation: appending a letter to a
+reduced word changes its distance by an amount that depends only on the last
+K letters (``window_increments``).  A graph proves its window K from its
+marking; a black-box oracle has to declare one.
+
 The rose with unit lengths realises the word metric; a rose with a basis
 substitution (an automorphism applied to the marking) gives non-trivially
 marked points of Outer Space and is how the test battery builds them.
@@ -21,22 +26,26 @@ marked points of Outer Space and is how the test battery builds them.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .errors import BelowThresholdError, ValidationError
+from .errors import BelowThresholdError, ResourceCapError, ValidationError
 from .words import (
     ConjClass,
     Word,
+    alphabet,
     cyclic_reduce,
-    enumerate_ball,
+    enumerate_sphere,
     letter_to_char,
     parse_substitution,
+    sphere_size,
 )
 
 FLOAT_TOL = 1e-12
+WINDOW_CAP = 200_000
 
 
 def _parse_length(value):
@@ -109,6 +118,7 @@ class MetricGraph:
     # caches, excluded from equality
     _marking_paths: dict = field(default_factory=dict, repr=False, compare=False)
     _edge_lengths: dict = field(default_factory=dict, repr=False, compare=False)
+    _increments: "Increments | None" = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self._validate_shape()
@@ -246,29 +256,6 @@ class MetricGraph:
     def rational(self) -> bool:
         return all(isinstance(e.length, Fraction) for e in self.edges)
 
-    @property
-    def additive(self) -> bool:
-        """True when each generator is marked by its own single rose petal,
-        so distances add letter by letter with no cancellation."""
-        if len(self.vertices) != 1:
-            return False
-        used = [path for path in self.marking]
-        return all(len(p) == 1 and p[0] > 0 for p in used) and sorted(
-            p[0] for p in used
-        ) == list(range(1, self.rank + 1))
-
-    def letter_lengths(self) -> dict[int, Fraction | float]:
-        """Per-letter distance increments; only meaningful for additive graphs."""
-        out = {}
-        for i, path in enumerate(self.marking, start=1):
-            total = sum(self._edge_lengths[abs(e)] for e in path)
-            out[i] = total
-            out[-i] = total
-        return out
-
-    def walker(self) -> DistanceWalker:
-        return DistanceWalker(self)
-
     def _tight_path(self, w: Word) -> tuple[int, ...]:
         walker = DistanceWalker(self)
         for l in w.letters:
@@ -294,9 +281,6 @@ class MetricGraph:
         for e in path[i:j]:
             total += self._edge_lengths[abs(e)]
         return total
-
-    def oracle(self) -> "MetricOracle":
-        return MetricOracle(dist=self.dist, rank=self.rank, tag=self.tag, graph=self)
 
     # -- serialisation ------------------------------------------------------
 
@@ -331,17 +315,196 @@ def _edge_token(signed: int, edges: tuple[Edge, ...]) -> str:
 class MetricOracle:
     """Black-box left-invariant metric: dist(x) = d(o, x.o).
 
-    Satisfies dist(identity) = 0 and dist(x) = dist(x^-1).  Graphs wrap
-    themselves in one of these; user oracles plug in the same way.
+    Satisfies dist(identity) = 0 and dist(x) = dist(x^-1).  User oracles plug
+    in wherever a graph is accepted.  The exact sums (``window_increments``)
+    need ``window``: a K such that dist(s x) - dist(s) depends only on x and
+    the last K letters of s.  Nothing checks it; an oracle without one is
+    rejected there.
     """
 
     dist: Callable[[Word], Fraction | float]
     rank: int
     tag: str = "oracle"
-    graph: MetricGraph | None = None
+    window: int | None = None
+    _increments: "Increments | None" = field(default=None, init=False, repr=False, compare=False)
 
 
 Metric = MetricGraph | MetricOracle
+
+
+@dataclass(frozen=True)
+class Increments:
+    """The change dist(s x) - dist(s) when a reduced word s gains a letter x.
+
+    By bounded cancellation (Cooper, *Automorphisms of free groups have
+    finitely generated fixed point sets*, 1987) it depends only on x and the
+    last ``window`` letters of s.  A word's state is its last window+1 letters
+    (all of a shorter word); ``table`` maps every reduced word of length
+    1..window+1, the possible states after a step, to the increment of its
+    last letter, the step's increment.  With a window of 0 every letter adds
+    a fixed length, as on a rose with the identity marking.
+    """
+
+    window: int
+    letters: tuple[int, ...]
+    table: dict
+
+    def step(self, state: tuple[int, ...], x: int) -> tuple[int, ...]:
+        """The state after appending x."""
+        return (state + (x,))[-self.window - 1 :]
+
+    def extend(self, state: tuple[int, ...]) -> list[tuple[int, ...]]:
+        """``step`` for every letter that keeps the word reduced."""
+        return [self.step(state, x) for x in self.letters if not state or x != -state[-1]]
+
+
+def window_increments(metric: Metric) -> Increments:
+    """The increments of ``metric``, cached on it.
+
+    A graph gets the least window that explains its increments, found from
+    a window it proves (``_graph_increments``); an oracle gets the window it
+    declares, and ValidationError when it declares none.  Raises
+    ResourceCapError when the words up to the window outnumber WINDOW_CAP.
+    """
+    if metric._increments is None:
+        if isinstance(metric, MetricGraph):
+            inc = _graph_increments(metric)
+        elif metric.window is None:
+            raise ValidationError(
+                f"oracle {metric.tag!r} declares no increment window; exact sums need one"
+            )
+        else:
+            _check_window_cap(metric.rank, metric.window, metric.tag)
+            words = [w.letters for n in range(1, metric.window + 2) for w in enumerate_sphere(metric.rank, n)]
+            dist = {(): 0} | {w: metric.dist(Word(w, metric.rank)) for w in words}
+            table = {w: dist[w] - dist[w[:-1]] for w in words}
+            inc = Increments(metric.window, tuple(alphabet(metric.rank)), table)
+        object.__setattr__(metric, "_increments", inc)
+    return metric._increments
+
+
+def _check_window_cap(rank: int, window: int, tag: str) -> None:
+    size = sum(sphere_size(rank, n) for n in range(1, window + 2))
+    if size > WINDOW_CAP:
+        raise ResourceCapError(
+            f"increment window {window} of {tag} needs {size} words; cap is {WINDOW_CAP}", cap=WINDOW_CAP
+        )
+
+
+def _graph_increments(graph: MetricGraph) -> Increments:
+    """The increments of a graph, with the least window that explains them.
+
+    Write T(w) for the tight path of w and c(w, x) for the number of edges
+    of T(x) that cancel against T(w); the increment of x is then len T(x)
+    minus twice the length of its first c(w, x) edges.  Proof of a window K:
+    let v be a reduced word of length K and u any word with uv reduced.
+    T(uv) keeps all of T(v) but its first L(v) edges at most, where L(v) is
+    the longest prefix of T(v) that is a prefix of T(y) for a reduced word y
+    whose first letter is not v's (y = u^-1 is one; ``_prefix_reach`` bounds
+    L from above).  If c(v, x) < len T(v) - L(v), or T(x) cancels whole
+    within that part, then c(uv, x) = c(v, x).  Once every (v, x) passes,
+    the c of the words up to length K+1 give every increment, and the least
+    window is the least K' for which c is a function of the last K'+1
+    letters.
+    """
+    letters = alphabet(graph.rank)
+    tight = {x: graph._tight_path(Word((x,), graph.rank)) for x in letters}
+    reach = _prefix_reach(graph)
+    for k in itertools.count(1):
+        _check_window_cap(graph.rank, k, graph.tag)
+        cuts, room = {}, {}  # word -> c(word without x, x); v -> len T(v) - L(v)
+        for w, stack, c in _tight_steps(tight, k + 1):
+            cuts[w] = c
+            if len(w) == k + 1:
+                v = w[:-1]
+                if v not in room:
+                    room[v] = len(stack) - reach(v[0], stack)
+                if c >= room[v] and not c == len(tight[w[-1]]) <= room[v]:
+                    break
+        else:
+            break
+    window = next(k for k in itertools.count() if all(c == cuts[w[-k - 1 :]] for w, c in cuts.items()))
+    lengths = graph._edge_lengths
+    length = lambda path: sum(lengths[abs(e)] for e in path)
+    table = {w: length(tight[w[-1]]) - 2 * length(tight[w[-1]][:c]) for w, c in cuts.items() if len(w) <= window + 1}
+    return Increments(window, tuple(letters), table)
+
+
+def _tight_steps(tight: dict, depth: int):
+    """Yield (word, stack, c) for every reduced word of length 1..depth in
+    depth-first order, given the tight path of each letter: ``stack`` is the
+    tight path of the word without its last letter x (one list, changed
+    between steps) and c the number of edges of x's path that cancel it."""
+    stack: list[int] = []
+
+    def walk(word):
+        for x, path in tight.items():
+            if word and x == -word[-1]:
+                continue
+            c = 0
+            while c < min(len(stack), len(path)) and stack[-1 - c] == -path[c]:
+                c += 1
+            yield word + (x,), stack, c
+            if len(word) + 1 < depth:
+                cut = len(stack) - c
+                popped = stack[cut:]
+                stack[cut:] = path[c:]
+                yield from walk(word + (x,))
+                stack[cut:] = popped
+
+    return walk(())
+
+
+def _prefix_reach(graph: MetricGraph) -> Callable[[int, Sequence[int]], int]:
+    """``reach(b, path)``: the length of the longest prefix of ``path`` that is
+    the tight path of a prefix of the edge path spelled by a reduced word
+    whose first letter is not b.
+
+    That edge path runs through every vertex of the tight path T(y) of the
+    word y, so ``reach`` is at least the longest common prefix of ``path``
+    and any such T(y).  An automaton spells the edge paths; it gains an empty
+    move across every stretch that reduces to nothing, after which it reads
+    exactly the tight paths of their prefixes (Benois, 1969: the free
+    reductions of a regular language are regular).
+    """
+    letters = alphabet(graph.rank)
+    paths = graph._marking_paths
+    # state (x, i): the first i edges of x's path are read; (b, 0) starts a
+    # word whose first letter is not b
+    moves = {(b, 0): [(paths[x][0], (x, 1)) for x in letters if x != b] for b in letters}
+    for x in letters:
+        n = len(paths[x])
+        moves.update({(x, i): [(paths[x][i], (x, i + 1))] for i in range(1, n)})
+        moves[(x, n)] = [(paths[y][0], (y, 1)) for y in letters if y != -x]
+    # empty[q]: states reached from q along a path that reduces to nothing
+    empty = {q: {q} for q in moves}
+    changed = True
+    while changed:
+        changed = False
+        for q in moves:
+            found = set(empty[q])
+            for e, s in moves[q]:
+                for t in list(empty[s]):
+                    found.update(*(empty[u] for e2, u in moves[t] if e2 == -e))
+            for r in list(found):
+                found |= empty[r]
+            if found != empty[q]:
+                empty[q], changed = found, True
+    read: dict = {q: {} for q in moves}  # state -> edge -> states after reading it
+    for q in moves:
+        for a in empty[q]:
+            for e, s in moves[a]:
+                read[q].setdefault(e, set()).update(empty[s])
+
+    def reach(b: int, path: Sequence[int]) -> int:
+        current = empty[(b, 0)]
+        for j, e in enumerate(path):
+            current = set().union(*(read[q].get(e, ()) for q in current))
+            if not current:
+                return j
+        return len(path)
+
+    return reach
 
 
 def rose(lengths: Sequence, tag: str | None = None) -> MetricGraph:
@@ -515,43 +678,36 @@ def dilation(
     return best
 
 
-def ball_counts(metric: Metric, radii: Sequence, word_radius: int | None = None) -> list[int]:
-    """#{x : dist(o, x) <= T} for each threshold T in ``radii``.
+def ball_counts(metric: Metric, radii: Sequence) -> list[int]:
+    """#{x : dist(o, x) <= T} for each threshold T in ``radii``, exactly.
 
-    Exact dynamic programming over the last letter when the metric is an
-    additive (rose-marked) graph; otherwise enumerates the word-metric ball of
-    ``word_radius`` and counts, which is only correct when that ball covers
-    every element within the largest threshold.
+    Dynamic programming over (state, distance) with the increments of
+    ``window_increments``.  Increments can be negative, so an entry is dropped
+    only when its distance plus the least sum of increments along any
+    continuation from its state exceeds the largest threshold.  That least sum
+    is finite: a cycle of states spells a cyclically reduced word whose
+    increments add up to its translation length, which is positive.
     """
-    graph = metric if isinstance(metric, MetricGraph) else metric.graph
-    thresholds = list(radii)
-    t_max = max(thresholds)
-    if graph is not None and graph.additive:
-        per_letter = graph.letter_lengths()
-        rank = graph.rank
-        counts_at = {t: 1 for t in thresholds}  # identity
-        frontier: dict[tuple[int, Fraction | float], int] = {}
-        for l in per_letter:
-            if per_letter[l] <= t_max:
-                frontier[(l, per_letter[l])] = frontier.get((l, per_letter[l]), 0) + 1
-        while frontier:
-            for (_, d), cnt in frontier.items():
-                for t in thresholds:
-                    if d <= t:
-                        counts_at[t] += cnt
-            nxt: dict[tuple[int, Fraction | float], int] = {}
-            for (last, d), cnt in frontier.items():
-                for l in per_letter:
-                    if l == -last:
-                        continue
-                    nd = d + per_letter[l]
-                    if nd <= t_max:
-                        key = (l, nd)
-                        nxt[key] = nxt.get(key, 0) + cnt
-            frontier = nxt
-        return [counts_at[t] for t in thresholds]
-    if word_radius is None:
-        raise ValueError("non-additive metric needs an explicit word_radius")
-    d = metric.dist
-    values = [d(w) for w in enumerate_ball(metric.rank, word_radius)]
-    return [sum(1 for v in values if v <= t) for t in thresholds]
+    inc = window_increments(metric)
+    t_max = max(radii)
+    least = {(): 0}  # Bellman-Ford, discovering the states as it goes
+    changed = True
+    while changed:
+        changed = False
+        for state in list(least):
+            for nxt in inc.extend(state):
+                if nxt not in least or inc.table[nxt] + least[nxt] < least[state]:
+                    least[state] = min(least[state], inc.table[nxt] + least.setdefault(nxt, 0))
+                    changed = True
+    reached: dict = {}  # distance -> number of elements
+    layer = {((), 0): 1}
+    while layer:
+        nxt_layer: dict = {}
+        for (state, d), c in layer.items():
+            reached[d] = reached.get(d, 0) + c
+            for nxt in inc.extend(state):
+                key = (nxt, d + inc.table[nxt])
+                if key[1] + least[nxt] <= t_max:
+                    nxt_layer[key] = nxt_layer.get(key, 0) + c
+        layer = nxt_layer
+    return [sum(c for d, c in reached.items() if d <= t) for t in radii]

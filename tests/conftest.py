@@ -1,8 +1,9 @@
-"""Shared session fixtures: codings, metrics, growth data, the seed-7 ray."""
+"""Shared session fixtures: codings, metrics (roses, the theta graph, the twisted
+rose), growth data, the seed-7 ray."""
 
 import pytest
 
-from lsrigid import coding, psmeasure, thermo, treemetric
+from lsrigid import coding, psmeasure, thermo, treemetric, words
 
 
 @pytest.fixture(scope="session")
@@ -29,6 +30,31 @@ def unit_rose2():
 @pytest.fixture(scope="session")
 def rose12():
     return treemetric.rose([1, 2])
+
+
+@pytest.fixture(scope="session")
+def theta_graph():
+    """Two vertices, a loop plus a two-edge cycle: Betti number 2, not a rose."""
+    return treemetric.graph_from_json(
+        {
+            "rank": 2,
+            "vertices": ["u", "w"],
+            "edges": [
+                {"id": "p", "from": "u", "to": "u", "length": 1},
+                {"id": "q", "from": "u", "to": "w", "length": "1/2"},
+                {"id": "r", "from": "w", "to": "u", "length": "3/2"},
+            ],
+            "basepoint": "u",
+            "marking": {"a": "p", "b": "q r"},
+        }
+    )
+
+
+@pytest.fixture(scope="session")
+def twisted():
+    """Unit rose marked by {a: ab, b: b}: appending B after a cancels an edge."""
+    subst = words.parse_substitution({"a": "ab", "b": "b"}, 2)
+    return treemetric.marked_rose([1, 1], subst)
 
 
 @pytest.fixture(scope="session")

@@ -2,6 +2,11 @@
 
 Claims covered:
     - pipeline artifacts are a pure function of (config, seed): pinned digests
+    - the pipeline runs off the identity-marked rose: the twisted rose
+      {a: ab, b: b} and the theta graph give full rank and identical
+      artifacts on two same-seed runs
+    - exit codes: 2 for a non-isomorphic marking (tagged with its stage), 3
+      for a ball over the resource cap, 4 for a ray too short for the rigid set
     - ``thermo gibbs`` lists every depth-d cylinder of the maximal component
       and rejects depth < 1 with the validation exit code
     - ``selfcheck`` passes every row, the marking-folding row included
@@ -10,7 +15,12 @@ Claims covered:
 import hashlib
 import json
 
+import pytest
+
 from lsrigid import cli
+
+ARTIFACTS = ("ray.txt", "E.csv", "rank_report.json", "separation_report.json",
+             "witness_lengths.svg", "budget_curve.svg")
 
 # Digests of the artifacts of a short default-config run with seed 7.
 PINNED = {
@@ -28,6 +38,45 @@ def test_pipeline_digests_pinned(tmp_path):
     assert cli.main(["pipeline", "--config", str(config), "--out", str(out)]) == 0
     got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in PINNED}
     assert got == PINNED
+
+
+@pytest.mark.parametrize("fixture", ["twisted", "theta_graph"])
+def test_pipeline_off_the_rose(tmp_path, request, fixture):
+    graph = request.getfixturevalue(fixture).to_json()
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"graph": graph, "ray_length": 20000, "battery_pairs": 3}))
+    runs = []
+    for name in ("one", "two"):
+        out = tmp_path / name
+        assert cli.main(["pipeline", "--config", str(config), "--out", str(out)]) == 0
+        runs.append({a: (out / a).read_bytes() for a in ARTIFACTS})
+    assert runs[0] == runs[1]
+    rank = json.loads(runs[0]["rank_report.json"])
+    assert rank["full_rank"] and rank["rank"] == 2
+
+
+def test_exit_code_validation(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"graph": {"rose": [1, 1], "substitution": {"a": "aa", "b": "b"}}}))
+    assert cli.main(["pipeline", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("error: [metric] ")
+
+
+def test_exit_code_resource_cap(tmp_path, capsys):
+    graph = tmp_path / "rose.json"
+    graph.write_text(json.dumps({"rose": [1, 1]}))
+    assert cli.main(["ps", "nu", "--graph", str(graph), "--n", "16"]) == 3
+    assert "cap is" in capsys.readouterr().err
+
+
+def test_exit_code_not_found(tmp_path, capsys):
+    graph = tmp_path / "rose.json"
+    graph.write_text(json.dumps({"rose": [1, 1]}))
+    ray = tmp_path / "ray.txt"
+    assert cli.main(["ps", "sample", "--graph", str(graph), "--length", "10", "--out", str(ray)]) == 0
+    out = tmp_path / "E.csv"
+    assert cli.main(["rigid", "build", "--ray", str(ray), "--budget", "log", "--out", str(out)]) == 4
+    assert "ray horizon exhausted" in capsys.readouterr().err
 
 
 def test_thermo_gibbs_cylinders(tmp_path, capsys):

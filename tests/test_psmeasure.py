@@ -2,21 +2,31 @@
 
 Claims covered:
     - ball-measure weights follow the exp(-v dist) law exactly
-    - partition sums: closed form on the unit rose, DP vs enumeration oracle,
-      criticality flagging
+    - partition sums: closed form on the unit rose, the windowed programme vs
+      brute enumeration of the ball on rose12, the theta graph, the twisted
+      rose {a: ab, b: b} and random marked metrics (rank 2 up to radius 7,
+      rank 3 up to radius 5), equality with the last-letter programme on
+      roses, criticality flagging
     - cylinder masses: normalisation, exact additivity over one-step
-      extensions (0 included), stabilisation at depth 1, null-cylinder decay
+      extensions (0 included), the same brute-force and rose oracles,
+      stabilisation at depth 1, null-cylinder decay, codings whose paths
+      cancel rejected
     - measured two-sided bounds around exp(-v Birkhoff sum)
     - sampler: determinism, seed sensitivity, Gibbs statistics, entry table
     - recurrence reports (depth < 1 rejected) and ray file round trips
 """
 
 import math
+from fractions import Fraction
+from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lsrigid import coding, fixtures, psmeasure, thermo, treemetric, words
+from lsrigid import coding, fixtures, psmeasure, rigidity, thermo, treemetric, words
 from lsrigid.errors import ResourceCapError, ValidationError
 from lsrigid.psmeasure import (
     RaySample,
@@ -73,15 +83,68 @@ def test_partition_sums_closed_form(unit_rose2):
         assert abs(z - (1 + 4 * n / 3)) < 1e-12
 
 
-def test_partition_sums_dp_matches_enumeration(rose12, growth12):
-    dp = partition_sums(rose12, growth12.v_star, 8)
-    brute = [0.0] * 9
-    for w in words.enumerate_ball(2, 8):
-        brute[len(w)] += math.exp(-growth12.v_star * float(rose12.dist(w)))
-    for n in range(1, 9):
-        brute[n] += brute[n - 1]
-    for n in range(9):
-        assert abs(dp[n] - brute[n]) < 1e-9
+def _brute_sums(metric, v, n):
+    """Z_0..Z_n by listing the ball."""
+    layers = [0.0] * (n + 1)
+    for w in words.enumerate_ball(metric.rank, n):
+        layers[len(w)] += math.exp(-v * float(metric.dist(w)))
+    return list(accumulate(layers))
+
+
+@lru_cache(maxsize=8)
+def _ball_weights(metric, v, n):
+    return {w.letters: math.exp(-v * float(metric.dist(w))) for w in words.enumerate_ball(metric.rank, n)}
+
+
+def _brute_cylinder(letters, metric, v, n):
+    """Mass of the words of the radius-n ball that start with ``letters``."""
+    weights = _ball_weights(metric, v, n)
+    inside = sum(x for w, x in weights.items() if w[: len(letters)] == letters)
+    return inside / sum(weights.values())
+
+
+def _rose_sums(lengths, v, n):
+    """The last-letter programme on a rose: each letter adds its petal length."""
+    letters = words.alphabet(len(lengths))
+    weight = {l: math.exp(-v * float(lengths[abs(l) - 1])) for l in letters}
+    layer = dict(weight)
+    sums = [1.0]
+    for _ in range(n):
+        sums.append(sums[-1] + sum(layer.values()))
+        layer = {t: weight[t] * sum(x for s, x in layer.items() if s != -t) for t in letters}
+    return sums
+
+
+def _close(a, b, rel=1e-12):
+    return abs(a - b) <= rel * abs(b)
+
+
+def test_partition_sums_dp_matches_enumeration(rose12, theta_graph, twisted, growth12):
+    for metric in (rose12, theta_graph, twisted, treemetric.as_float(twisted)):
+        dp = partition_sums(metric, growth12.v_star, 8)
+        brute = _brute_sums(metric, growth12.v_star, 8)
+        assert all(_close(a, b) for a, b in zip(dp, brute))
+    # an oracle that declares its window runs the same programme through dist
+    oracle = treemetric.MetricOracle(dist=twisted.dist, rank=2, tag="slow", window=1)
+    assert partition_sums(oracle, 0.9, 8) == partition_sums(twisted, 0.9, 8)
+
+
+@pytest.mark.parametrize("lengths", [[1, 1], [1, 2], [1, 2, 3], ["1/2", "3/4"]])
+def test_partition_sums_match_rose_programme(lengths):
+    graph = treemetric.rose(lengths)
+    rational = [Fraction(l) for l in lengths]
+    for v in (0.5, math.log(3)):
+        dp = partition_sums(graph, v, 16)
+        assert all(_close(a, b) for a, b in zip(dp, _rose_sums(rational, v, 16)))
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([(2, 7), (3, 5)]), st.floats(0.2, 1.2))
+def test_partition_sums_random_metrics(seed, shape, v):
+    rank, radius = shape
+    metric = rigidity.random_marked_metric(np.random.default_rng(seed), rank)
+    dp = partition_sums(metric, v, radius)
+    assert all(_close(a, b) for a, b in zip(dp, _brute_sums(metric, v, radius)))
 
 
 def test_partition_sum_check_critical(unit_rose2, rose12, growth12):
@@ -125,13 +188,56 @@ def test_cylinder_mass_additive(aug2, unit_rose2, rose12, growth12):
             assert abs(est.value - total) <= 1e-10
 
 
-def test_cylinder_mass_dp_matches_enumeration(aug2, rose12, growth12):
-    # a bare oracle has no additive fast path, forcing full enumeration
-    oracle_metric = treemetric.MetricOracle(dist=rose12.dist, rank=2, tag="slow")
-    for prefix in (["*", "a"], ["*", "b", "a"]):
-        fast = cylinder_mass_estimate(prefix, aug2, rose12, growth12.v_star, 8)
-        slow = cylinder_mass_estimate(prefix, aug2, oracle_metric, growth12.v_star, 8)
-        assert abs(fast.value - slow.value) <= 1e-10
+def test_cylinder_mass_dp_matches_enumeration(aug2, rose12, theta_graph, twisted, growth12):
+    v = growth12.v_star
+    for metric in (rose12, theta_graph, twisted):
+        for prefix in (["*", "a"], ["*", "b", "a"], ["*", "B", "B", "a"], ["*", "a", "B"]):
+            est = cylinder_mass_estimate(prefix, aug2, metric, v, 8)
+            letters = tuple(words.char_to_letter(c) for c in prefix[1:])
+            assert _close(est.value, _brute_cylinder(letters, metric, v, 8))
+
+
+def test_cylinder_mass_matches_rose_programme():
+    # the last-letter programme: weights exp(-v * petal length) along the
+    # coding, and petal i of rose [1, 2, 3] has length i
+    graph, v = treemetric.rose([1, 2, 3]), 0.6
+    free3 = coding.augment(coding.build_free_group_coding(3))
+    zero = free3.zero_index
+    for prefix in (["*", "a"], ["*", "c", "B"], ["*", "B", "B", "a"]):
+        idx = free3.resolve(prefix)
+        vec = {idx[-1]: 1.0}
+        acc = 1.0
+        for _ in range(16 - (len(prefix) - 1)):
+            nxt = {}
+            for i, x in vec.items():
+                for j in free3.succ[i]:
+                    if j != zero:
+                        w = math.exp(-v * abs(free3.label_of(i, j)))
+                        nxt[j] = nxt.get(j, 0.0) + x * w
+            vec = nxt
+            acc += sum(vec.values())
+        word = free3.ev(idx)
+        expected = math.exp(-v * float(graph.dist(word))) * acc / _rose_sums([1, 2, 3], v, 16)[16]
+        assert _close(cylinder_mass_estimate(prefix, free3, graph, v, 16).value, expected)
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([(2, 7), (3, 5)]), st.integers(0, 2**16))
+def test_cylinder_mass_random_metrics(seed, shape, pick):
+    rank, radius = shape
+    metric = rigidity.random_marked_metric(np.random.default_rng(seed), rank)
+    aug = coding.augment(coding.build_free_group_coding(rank))
+    word = words.enumerate_ball(rank, 2)[1 + pick % (words.ball_size(rank, 2) - 1)]
+    prefix = ["*"] + [words.letter_to_char(l) for l in word.letters]
+    est = cylinder_mass_estimate(prefix, aug, metric, 0.8, radius)
+    assert _close(est.value, _brute_cylinder(word.letters, metric, 0.8, radius))
+
+
+def test_cylinder_mass_rejects_cancelling_coding(twisted):
+    # the backtracking edge a -> A spells aA, which is not a reduced word
+    aug = coding.augment(fixtures.coding_with_backtrack(2))
+    with pytest.raises(ValidationError):
+        cylinder_mass_estimate(["*", "a"], aug, twisted, 0.5, 4)
 
 
 def test_cylinder_mass_zero_extension_is_single_element(aug2, unit_rose2):

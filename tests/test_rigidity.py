@@ -3,9 +3,28 @@
 Claims covered:
     - the witness queries of a rigid set return the witness classes in
       (length, word_key) order and their lengths, the same on every call
+    - the budget test agrees with a brute-force count at every integer
+      threshold
+    - a rigid set built on the seed-7 ray under the log budget keeps
+      count_below(T) <= log(1 + T) for every T up to t_max
+    - the CSV file round-trips classes, powers, positions, witnesses and
+      witness lengths
 """
 
+import math
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from lsrigid import psmeasure, rigidity, words
+from lsrigid.rigidity import BUDGET_SLACK, RigidSet, _budget_feasible, parse_budget
+
+
+@pytest.fixture(scope="module")
+def rigid7(ray7):
+    classes = words.enumerate_classes(2, 4, identify_inverse=True)[:5]
+    return rigidity.build_rigid_set(ray7, classes, "log", t_max=10_000)
 
 
 def test_witness_queries_order_and_values(aug2, comp2, td_unit, entry_table_unit):
@@ -27,3 +46,34 @@ def test_witness_queries_order_and_values(aug2, comp2, td_unit, entry_table_unit
     assert rigid.witness_lengths() == expected
     for t in (1, 10, 100, 10_000):
         assert rigid.count_below(t) == sum(1 for ell in expected.values() if ell < t)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.integers(1, 40), max_size=12),
+    st.sampled_from(["sqrt", "log", "linear", "poly:0.5", "poly:1.5"]),
+    st.integers(1, 40),
+)
+def test_budget_feasible_brute_force(values, desc, t_max):
+    budget = parse_budget(desc)
+    # #{v < T'} <= f(T') for every real T' <= t_max: with integer values the
+    # binding T' lie just above an integer T, where the count is #{v <= T}
+    brute = all(
+        sum(1 for v in values if v <= t) <= budget(t) + BUDGET_SLACK for t in range(1, t_max + 1)
+    )
+    assert _budget_feasible(values, budget, t_max) == brute
+
+
+def test_log_budget_keeps_sparse(rigid7):
+    assert len(rigid7.entries) == 5
+    for t in range(1, 10_001):
+        assert rigid7.count_below(t) <= math.log1p(t) + BUDGET_SLACK
+
+
+def test_rigid_set_csv_round_trip(rigid7, tmp_path):
+    path = tmp_path / "E.csv"
+    rigid7.to_csv(path)
+    again = RigidSet.from_csv(path, rank=2)
+    fields = lambda e: (e.cls, e.power, e.n1, e.n2, e.witness1, e.witness2, e.ell1, e.ell2)
+    assert [fields(e) for e in again.entries] == [fields(e) for e in rigid7.entries]
+    assert again.witness_lengths() == rigid7.witness_lengths()

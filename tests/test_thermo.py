@@ -7,7 +7,8 @@ Claims covered:
       (1,2), scaling covariance, and the ball-count slope cross-check
     - Gibbs chain weights, shift invariance, total mass
     - preimage sums against a brute-force oracle; decay on subcritical parts
-    - telescoping defect of truncated potentials is finite and non-increasing
+    - telescoping defect of truncated potentials is finite and non-increasing;
+      codings whose paths cancel rejected
 """
 
 import math
@@ -246,3 +247,9 @@ def test_telescoping_sweep(free2):
     # the unit rose telescopes exactly at every depth
     clean = sweep_telescoping(free2, treemetric.word_metric(2), ks=(1, 2), n_steps=40, n_paths=20, seed=1)
     assert clean.defects[1] == 0 and clean.defects[2] == 0
+
+
+def test_telescoping_sweep_rejects_cancelling_coding(unit_rose2):
+    # the backtracking edge a -> A spells aA, which is not a reduced word
+    with pytest.raises(ValidationError):
+        sweep_telescoping(fixtures.coding_with_backtrack(2), unit_rose2, ks=(1,), n_steps=20, n_paths=20, seed=0)

@@ -10,6 +10,12 @@ Claims covered:
       non-surjective and non-injective markings, accepts every battery draw
       and dangling trees, and agrees with the short-word kernel oracle
     - graphs of rank 8 build (the ball check could not reach them)
+    - the increment window is 0 on rose12 and the theta graph and 1 on the
+      twisted rose, summed increments give every distance up to length 6,
+      and a window search past its cap exits with code 3
+    - ball counts equal the count of reduced closed edge paths at the
+      basepoint on rose12, the theta graph, the twisted rose (rational, float
+      and as a bare oracle) and random marked metrics of rank 2 and 3
     - JSON round trips for roses, twisted roses and general graphs
 """
 
@@ -22,8 +28,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lsrigid import rigidity, treemetric, words
-from lsrigid.errors import BelowThresholdError, ValidationError
+from lsrigid import psmeasure, rigidity, treemetric, words
+from lsrigid.errors import BelowThresholdError, ResourceCapError, ValidationError
 from lsrigid.treemetric import (
     MetricGraph,
     ball_counts,
@@ -59,30 +65,6 @@ def _random_word(rng, rank, max_len):
         choices = [l for l in alphabet if not letters or l != -letters[-1]]
         letters.append(rng.choice(choices))
     return Word(tuple(letters), rank)
-
-
-@pytest.fixture(scope="module")
-def theta_graph():
-    """Two vertices, a loop plus a two-edge cycle: Betti number 2, not a rose."""
-    return treemetric.graph_from_json(
-        {
-            "rank": 2,
-            "vertices": ["u", "w"],
-            "edges": [
-                {"id": "p", "from": "u", "to": "u", "length": 1},
-                {"id": "q", "from": "u", "to": "w", "length": "1/2"},
-                {"id": "r", "from": "w", "to": "u", "length": "3/2"},
-            ],
-            "basepoint": "u",
-            "marking": {"a": "p", "b": "q r"},
-        }
-    )
-
-
-@pytest.fixture(scope="module")
-def twisted():
-    subst = words.parse_substitution({"a": "ab", "b": "b"}, 2)
-    return marked_rose([1, 1], subst)
 
 
 def test_dist_examples(rose12):
@@ -215,7 +197,6 @@ def test_theta_graph_distances(theta_graph):
     assert theta_graph.dist(Word.from_str("b", 2)) == 2
     assert theta_graph.dist(Word.from_str("ab", 2)) == 3
     assert translation_length(ConjClass.from_str("ab", 2), theta_graph) == 3
-    assert not theta_graph.additive
 
 
 MARKING_BASE = {
@@ -372,10 +353,169 @@ def test_rose_shorthand(tmp_path):
     assert g2.dist(Word.from_str("aB", 2)) == 1  # ab then b^-1 cancels
 
 
+def _brute_ball_counts(graph: MetricGraph, radii):
+    """Orbit points within each radius, counted as the reduced closed edge paths
+    at the basepoint: each is the tight path of exactly one group element, and
+    its length is that element's distance."""
+    lengths = []
+
+    def walk(at, last, length):
+        if at == graph.basepoint:
+            lengths.append(length)
+        for signed in range(-len(graph.edges), len(graph.edges) + 1):
+            if signed == 0 or signed == -last:
+                continue
+            edge = graph.edges[abs(signed) - 1]
+            src, dst = (edge.src, edge.dst) if signed > 0 else (edge.dst, edge.src)
+            if src == at and length + edge.length <= max(radii):
+                walk(dst, signed, length + edge.length)
+
+    walk(graph.basepoint, 0, 0)
+    return [sum(1 for l in lengths if l <= t) for t in radii]
+
+
 def test_ball_counts_additive_vs_enumeration(rose12):
-    dp = ball_counts(rose12, [1, 2, 3, 4, 5, 6])
-    brute = ball_counts(rose12.oracle(), [1, 2, 3, 4, 5, 6], word_radius=6)
-    assert dp == brute
+    radii = [1, 2, 3, 4, 5, 6]
+    # on rose12 every element within distance 6 has word length <= 6
+    values = [rose12.dist(w) for w in words.enumerate_ball(2, 6)]
+    brute = [sum(1 for d in values if d <= t) for t in radii]
+    assert ball_counts(rose12, radii) == brute == _brute_ball_counts(rose12, radii)
+
+
+def test_ball_counts_match_edge_paths(rose12, theta_graph, twisted):
+    radii = [Fraction(k, 2) for k in range(0, 13)]
+    for graph in (rose12, theta_graph, twisted, treemetric.as_float(twisted)):
+        assert ball_counts(graph, radii) == _brute_ball_counts(graph, radii)
+    # an oracle that declares its window runs the same programme through dist
+    oracle = treemetric.MetricOracle(dist=twisted.dist, rank=2, window=1)
+    assert ball_counts(oracle, radii) == _brute_ball_counts(twisted, radii)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([(2, 4), (3, 3)]))
+def test_ball_counts_random_metrics(seed, shape):
+    rank, t_max = shape
+    graph = rigidity.random_marked_metric(np.random.default_rng(seed), rank)
+    radii = [Fraction(k, 4) for k in range(4 * t_max + 1)]
+    assert ball_counts(graph, radii) == _brute_ball_counts(graph, radii)
+
+
+def _windowed_dist(inc, w):
+    total, state = 0, ()
+    for x in w.letters:
+        state = inc.step(state, x)
+        total += inc.table[state]
+    return total
+
+
+def test_window_increments(rose12, theta_graph, twisted):
+    assert treemetric.window_increments(rose12).window == 0
+    assert treemetric.window_increments(theta_graph).window == 0
+    assert treemetric.window_increments(word_metric(26)).window == 0
+    inc = treemetric.window_increments(twisted)
+    assert inc.window == 1
+    # a = e1 e2 and b = e2: appending B after a cancels e2, so the distance drops
+    assert inc.table[(1, -2)] == -1
+    for w in words.enumerate_ball(2, 6):
+        assert _windowed_dist(inc, w) == twisted.dist(w)
+    # b^6 in front of a pushes the window past the cap
+    long_twist = _substituted_rose({"a": "abbbbbb", "b": "b", "c": "c"})
+    with pytest.raises(ResourceCapError) as info:
+        treemetric.window_increments(long_twist)
+    assert info.value.exit_code == 3
+
+
+def test_window_increments_cached_per_metric(twisted):
+    # equal edges and tags, but one graph is exact and the other binary64
+    floated = treemetric.as_float(twisted)
+    for graph, kind in ((floated, float), (twisted, Fraction), (floated, float)):
+        inc = treemetric.window_increments(graph)
+        assert inc is treemetric.window_increments(graph)
+        assert all(type(d) is kind for d in inc.table.values())
+
+
+def test_oracle_window_must_be_declared():
+    # a left-invariant metric with no finite window: every increment is 2 up
+    # to length 3 and 1 beyond, so no table of short words predicts it
+    odd = treemetric.MetricOracle(dist=lambda w: len(w.letters) + min(len(w.letters), 3), rank=2)
+    for fn in (
+        lambda: treemetric.window_increments(odd),
+        lambda: ball_counts(odd, [5]),
+        lambda: psmeasure.partition_sums(odd, 0.5, 6),
+    ):
+        with pytest.raises(ValidationError) as info:
+            fn()
+        assert info.value.exit_code == 2
+    huge = treemetric.MetricOracle(dist=word_metric(2).dist, rank=2, window=12)
+    with pytest.raises(ResourceCapError):
+        treemetric.window_increments(huge)
+
+
+def test_window_increments_left_cancellation():
+    # in {a: aab, b: Bab} (a = e1 e1 e2, b = e2^-1 e1 e2) A cancels two edges
+    # after b but three after ab, because a cancels the front of b's path; a
+    # proof that ignored such left factors would settle on a window of 1
+    for spec in ({"a": "a", "b": "aab"}, {"a": "a", "b": "aba"}, {"a": "aab", "b": "Bab"}):
+        graph = _substituted_rose(spec)
+        inc = treemetric.window_increments(graph)
+        assert inc.window == 2
+        for w in words.enumerate_ball(2, 7):
+            assert _windowed_dist(inc, w) == graph.dist(w)
+
+
+def test_prefix_reach_covers_left_cancellation(theta_graph, twisted):
+    """reach(v_1, T(v)) bounds how far any left factor u cancels into v's
+    tight path T(v): the common prefix of T(u^-1) and T(v), brute force over
+    |u| <= 4."""
+    for graph in (theta_graph, twisted, _substituted_rose({"a": "aab", "b": "Bab"})):
+        reach = treemetric._prefix_reach(graph)
+        tight = {w.letters: graph._tight_path(w) for w in words.enumerate_ball(2, 4)}
+        for v in (w for w in tight if 1 <= len(w) <= 3):
+            left = 0
+            for u in tight:
+                if u and u[-1] == -v[0]:
+                    continue
+                inverse = tight[tuple(-x for x in reversed(u))]
+                common = 0
+                while common < min(len(inverse), len(tight[v])) and inverse[common] == tight[v][common]:
+                    common += 1
+                left = max(left, common)
+            assert left <= reach(v[0], tight[v]) <= len(tight[v])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    st.integers(2, 3).flatmap(
+        lambda rank: st.tuples(
+            st.just(rank),
+            st.lists(
+                st.lists(st.sampled_from(words.alphabet(rank)), min_size=1, max_size=3),
+                min_size=rank,
+                max_size=rank,
+            ),
+        )
+    )
+)
+def test_window_increments_substituted_roses(drawn):
+    rank, images = drawn
+    subst = {i: words.reduce(raw, rank) for i, raw in enumerate(images, start=1)}
+    try:
+        graph = marked_rose([1] * rank, subst)
+    except ValidationError:
+        return
+    inc = treemetric.window_increments(graph)
+    for w in words.enumerate_ball(rank, 6 if rank == 2 else 4):
+        assert _windowed_dist(inc, w) == graph.dist(w)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([(2, 7), (3, 5), (4, 4)]))
+def test_window_increments_random_metrics(seed, shape):
+    rank, radius = shape
+    graph = rigidity.random_marked_metric(np.random.default_rng(seed), rank)
+    inc = treemetric.window_increments(graph)
+    for w in words.enumerate_ball(rank, radius):
+        assert _windowed_dist(inc, w) == graph.dist(w)
 
 
 @settings(max_examples=80, deadline=None)
