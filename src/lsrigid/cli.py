@@ -87,13 +87,17 @@ def cmd_coding_loop(args) -> int:
 # -- thermo subcommands -----------------------------------------------------------
 
 
-def _growth_setup(args):
+def _coding_and_graph(args):
     ms = _load_structure_arg(args)
     graph = _graph_for(args)
     if graph.rank != ms.rank:
         raise ValidationError(f"graph rank {graph.rank} != coding rank {ms.rank}")
-    pot = thermo.potential_from_metric(ms, graph, k=args.k)
-    return ms, graph, pot
+    return ms, graph
+
+
+def _growth_setup(args):
+    ms, graph = _coding_and_graph(args)
+    return ms, graph, thermo.potential_from_metric(ms, graph)
 
 
 def cmd_thermo_pressure(args) -> int:
@@ -163,21 +167,16 @@ def cmd_thermo_rpf(args) -> int:
 
 
 def _ps_setup(args):
-    ms = _load_structure_arg(args)
-    graph = _graph_for(args)
-    if graph.rank != ms.rank:
-        raise ValidationError(f"graph rank {graph.rank} != coding rank {ms.rank}")
-    aug = coding.augment(ms)
-    pot = thermo.potential_from_metric(ms, graph, k=args.k)
-    if args.v is not None:
-        v = args.v
-    else:
-        v = thermo.solve_growth_rate(ms, pot).v_star
-    return ms, aug, graph, pot, v
+    """The augmented coding, the graph and the multiplier: --v, else v*."""
+    ms, graph = _coding_and_graph(args)
+    v = args.v
+    if v is None:
+        v = thermo.solve_growth_rate(ms, thermo.potential_from_metric(ms, graph)).v_star
+    return coding.augment(ms), graph, v
 
 
 def cmd_ps_nu(args) -> int:
-    _, _, graph, _, v = _ps_setup(args)
+    _, graph, v = _ps_setup(args)
     measure = psmeasure.ball_measure(graph, v, args.n)
     items = sorted(measure.weights.items(), key=lambda kv: (len(kv[0]), words.word_key(kv[0].letters)))
     if args.csv:
@@ -194,7 +193,7 @@ def cmd_ps_nu(args) -> int:
 
 
 def cmd_ps_zcheck(args) -> int:
-    _, _, graph, _, v = _ps_setup(args)
+    _, graph, v = _ps_setup(args)
     report = psmeasure.partition_sum_check(graph, v, n_max=args.nmax)
     print("n\tZ_n\tZ_n/n")
     for n in range(1, args.nmax + 1):
@@ -205,7 +204,7 @@ def cmd_ps_zcheck(args) -> int:
 
 
 def cmd_ps_cylmass(args) -> int:
-    _, aug, graph, _, v = _ps_setup(args)
+    aug, graph, v = _ps_setup(args)
     prefix = ["*"] + [p for p in args.prefix.replace(",", " ").split() if p]
     est = psmeasure.cylinder_mass_estimate(prefix, aug, graph, v, args.n)
     print(f"prefix {' '.join(est.prefix)}: mass estimate {est.value:.10e} at radius {args.n}")
@@ -215,7 +214,8 @@ def cmd_ps_cylmass(args) -> int:
 
 
 def cmd_ps_sample(args) -> int:
-    ms, aug, graph, pot, v = _ps_setup(args)
+    ms, graph, pot = _growth_setup(args)
+    aug = coding.augment(ms)
     growth = thermo.solve_growth_rate(ms, pot)
     transfer = {c: thermo.pressure(c, pot, growth.v_star) for c in growth.maximal_components}
     entries = psmeasure.entry_weight_table(aug, graph, growth.v_star)
@@ -279,7 +279,6 @@ def cmd_rigid_recover(args) -> int:
 _CONFIG_DEFAULTS = {
     "rank": 2,
     "graph": {"rose": [1, 1]},
-    "k": 6,
     "budget": "log",
     "classes": 5,
     "class_max_length": 4,
@@ -318,8 +317,13 @@ def run_pipeline(config_path, out_dir, seed_override: int | None = None) -> dict
     with stage("config"):
         raw = Path(config_path).read_bytes()
         inputs[str(config_path)] = _digest_bytes(raw)
-        config = dict(_CONFIG_DEFAULTS)
-        config.update(json.loads(raw))
+        given = json.loads(raw)
+        if not isinstance(given, dict):
+            raise ValidationError("config must be a JSON object")
+        unknown = sorted(set(given) - set(_CONFIG_DEFAULTS))
+        if unknown:
+            raise ValidationError(f"unknown config keys: {', '.join(unknown)}")
+        config = _CONFIG_DEFAULTS | given
         if seed_override is not None:
             config["seed"] = seed_override
         seed = int(config["seed"])
@@ -342,7 +346,7 @@ def run_pipeline(config_path, out_dir, seed_override: int | None = None) -> dict
             raise ValidationError(f"graph rank {graph.rank} != configured rank {ms.rank}")
 
     with stage("growth"):
-        pot = thermo.potential_from_metric(ms, graph, k=int(config["k"]))
+        pot = thermo.potential_from_metric(ms, graph)
         growth = thermo.solve_growth_rate(ms, pot)
 
     with stage("transfer"):
@@ -464,7 +468,7 @@ def _selfcheck_rows():
 
     def check_growth():
         unit = treemetric.word_metric(2)
-        pot = thermo.potential_from_metric(ms2, unit, k=4)
+        pot = thermo.potential_from_metric(ms2, unit)
         v = thermo.solve_growth_rate(ms2, pot).v_star
         err = abs(v - math.log(3))
         return err <= 1e-9, f"unit rose v* = {v:.12f} (err {err:.1e})"
@@ -472,7 +476,7 @@ def _selfcheck_rows():
     def check_rpf():
         unit = treemetric.word_metric(2)
         doctored = fixtures.coding_with_tail_cycle(2)
-        pot = thermo.potential_from_metric(doctored, unit, k=2)
+        pot = thermo.potential_from_metric(doctored, unit)
         growth = thermo.solve_growth_rate(doctored, pot)
         reports = []
         for c in coding.classify_components(doctored).components:
@@ -507,7 +511,7 @@ def _selfcheck_rows():
     def check_determinism():
         unit = treemetric.word_metric(2)
         aug = coding.augment(ms2)
-        pot = thermo.potential_from_metric(ms2, unit, k=1)
+        pot = thermo.potential_from_metric(ms2, unit)
         growth = thermo.solve_growth_rate(ms2, pot)
         td = {c: thermo.pressure(c, pot, growth.v_star) for c in growth.maximal_components}
         entries = psmeasure.entry_weight_table(aug, unit, growth.v_star)
@@ -621,17 +625,17 @@ def build_parser() -> argparse.ArgumentParser:
         p = tsub.add_parser(name)
         add_common(p, arithmetic=True)
         p.add_argument("--graph", required=True, help="metric graph JSON file")
-        p.add_argument("--k", type=int, default=6, help="potential truncation depth")
         for flag, kw in extra:
             p.add_argument(flag, **kw)
         p.set_defaults(fn=fn)
 
     pp = sub.add_parser("ps", help="ball measures, partition sums, ray sampling")
     psub = pp.add_subparsers(dest="subcommand", required=True)
+    v_opt = ("--v", dict(type=float, default=None, help="multiplier (default: solve v*)"))
     for name, fn, extra in (
-        ("nu", cmd_ps_nu, [("--n", dict(type=int, required=True)), ("--csv", dict())]),
-        ("zcheck", cmd_ps_zcheck, [("--nmax", dict(type=int, default=14))]),
-        ("cylmass", cmd_ps_cylmass, [("--prefix", dict(required=True)), ("--n", dict(type=int, default=12))]),
+        ("nu", cmd_ps_nu, [v_opt, ("--n", dict(type=int, required=True)), ("--csv", dict())]),
+        ("zcheck", cmd_ps_zcheck, [v_opt, ("--nmax", dict(type=int, default=14))]),
+        ("cylmass", cmd_ps_cylmass, [v_opt, ("--prefix", dict(required=True)), ("--n", dict(type=int, default=12))]),
         ("sample", cmd_ps_sample, [
             ("--length", dict(type=int, required=True)),
             ("--seed", dict(type=int, default=0)),
@@ -641,8 +645,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = psub.add_parser(name)
         add_common(p, arithmetic=True)
         p.add_argument("--graph", required=True)
-        p.add_argument("--k", type=int, default=6)
-        p.add_argument("--v", type=float, default=None, help="multiplier (default: solve v*)")
         for flag, kw in extra:
             p.add_argument(flag, **kw)
         p.set_defaults(fn=fn)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import accumulate
 from typing import Sequence
 
@@ -167,6 +167,12 @@ def cylinder_mass_estimate(
     which no word-maximal component is reachable are flagged null; their mass
     decays to 0 as n grows.
     """
+    est = _cylinder_weight(prefix, aug, metric, v, n, maximal_states)
+    return replace(est, value=est.value / partition_sums(metric, v, n)[n])
+
+
+def _cylinder_weight(prefix, aug, metric, v, n, maximal_states) -> MassEstimate:
+    """``cylinder_mass_estimate`` before the division by Z_n."""
     idx = list(aug.resolve(prefix))
     if idx[0] != aug.initial_index:
         raise ValidationError("cylinder prefix must start at the initial state")
@@ -181,11 +187,10 @@ def cylinder_mass_estimate(
     else:
         live = idx
     word = aug.ev(live)
-    z_n = partition_sums(metric, v, n)[n]
     if maximal_states is None:
         maximal_states = _maximal_state_indices(aug)
     if zero in idx:
-        value = math.exp(-v * float(metric.dist(word))) / z_n if len(word) <= n else 0.0
+        value = math.exp(-v * float(metric.dist(word))) if len(word) <= n else 0.0
         return MassEstimate(value=value, n=n, prefix=tuple(aug.states[i] for i in idx), null_cylinder=False)
     depth = len(live) - 1
     null = maximal_states.isdisjoint(aug.reachable([live[-1]], skip={zero}))
@@ -204,7 +209,7 @@ def cylinder_mass_estimate(
                 yield (j, u2), u2
 
     acc = sum(_layer_sums(moves, (live[-1], word.letters[-inc.window - 1 :]), inc, v, budget))
-    value = math.exp(-v * float(metric.dist(word))) * acc / z_n
+    value = math.exp(-v * float(metric.dist(word))) * acc
     return MassEstimate(value=value, n=n, prefix=tuple(aug.states[i] for i in idx), null_cylinder=null)
 
 
@@ -269,14 +274,15 @@ def measure_mass_band(
     v = td.v
     maximal = _maximal_state_indices(aug)
     live = frozenset(range(aug.n_states)) - {aug.zero_index}
+    z_n = partition_sums(metric, v, n)[n]
     ratios: dict[tuple[str, ...], float] = {}
     for d in range(1, depth + 1):
         for path in aug.paths(d, within=live):
-            est = cylinder_mass_estimate(path, aug, metric, v, n, maximal_states=maximal)
+            est = _cylinder_weight(path, aug, metric, v, n, maximal)
             if not est.null_cylinder:
                 ext = _canonical_extension(aug, path, pot.effective_range)
                 ref = math.exp(-v * float(pot.birkhoff_sum(ext, d)))
-                ratios[tuple(aug.states[i] for i in path)] = est.value / ref
+                ratios[tuple(aug.states[i] for i in path)] = est.value / z_n / ref
     values = list(ratios.values())
     return MassBandReport(depth=depth, n=n, ratios=ratios, band=(min(values), max(values)))
 
@@ -339,13 +345,15 @@ def entry_weight_table(
     zero = aug.zero_index
     table: list[tuple[tuple[str, ...], float]] = []
     deep_transient = False
+    z = partition_sums(metric, v, max(n_ref, max_depth + 5))  # covers every entry's radius below
 
     def visit(path: list[int]) -> None:
         nonlocal deep_transient
         last = path[-1]
         if last in maximal:
-            est = cylinder_mass_estimate(path, aug, metric, v, max(n_ref, len(path) + 4), maximal_states=maximal)
-            table.append((tuple(aug.states[i] for i in path), est.value))
+            n = max(n_ref, len(path) + 4)
+            est = _cylinder_weight(path, aug, metric, v, n, maximal)
+            table.append((tuple(aug.states[i] for i in path), est.value / z[n]))
             return
         if len(path) - 1 >= max_depth:
             deep_transient = True

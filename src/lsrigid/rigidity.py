@@ -16,7 +16,7 @@ import csv
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -549,11 +549,15 @@ def random_marked_metric(rng: np.random.Generator, rank: int = 2) -> MetricGraph
     return marked_rose(lengths, subst, tag="twisted_rose")
 
 
+@cache
+def _short_representatives(rank: int, max_len: int) -> tuple[Word, ...]:
+    return tuple(c.representative() for c in enumerate_classes(rank, max_len, identify_inverse=True))
+
+
 def _certified_distinct(t1: MetricGraph, t2: MetricGraph, max_len: int = 4) -> bool:
-    for c in enumerate_classes(t1.rank, max_len, identify_inverse=True):
-        if t1.translation_length(c.representative()) != t2.translation_length(c.representative()):
-            return True
-    return False
+    return any(
+        t1.translation_length(w) != t2.translation_length(w) for w in _short_representatives(t1.rank, max_len)
+    )
 
 
 def random_distinct_pair(

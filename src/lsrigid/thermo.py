@@ -1,14 +1,17 @@
 """Thermodynamic formalism on the block shift of a coding component.
 
 A metric induces a locally constant potential on the shift: the value on a
-(k+1)-block is the distance increment contributed by the first state given k
-steps of lookahead.  Birkhoff sums of the potential then track distances from
-the basepoint up to a telescoping constant that is measured, not assumed
-(``sweep_telescoping``).  Range-k potentials are recoded to the depth-k block
-shift, so the spectral machinery only ever handles range-1 weights: pressure
-is the log of the Perron root of the weighted transfer matrix, the Gibbs
-measure is the associated positive-eigenvector Markov chain, and the growth
-rate is the root of pressure = 0 in the inverse-temperature multiplier.
+block is the distance increment contributed by its first letter, read off the
+metric's increment table (``treemetric.window_increments``).  With increment
+window K the increment depends on K+1 letters, so the default depth K+1 is
+exact: Birkhoff sums of the potential equal distances from the basepoint up
+to a tail term, a function of the letters around the end of the prefix.
+``sweep_telescoping`` measures the defect of shallower truncations.  Range-k
+potentials are recoded to the depth-k block shift, so the spectral machinery
+only ever handles range-1 weights: pressure is the log of the Perron root of
+the weighted transfer matrix, the Gibbs measure is the associated
+positive-eigenvector Markov chain, and the growth rate is the root of
+pressure = 0 in the inverse-temperature multiplier.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ import scipy.sparse as sp
 from .coding import AugmentedStructure, Component, MarkovStructure, ZERO, classify_components
 from .errors import ConvergenceError, LsrigidError, ValidationError
 from .treemetric import Metric, window_increments
-from .words import Word
 
 EIG_RESIDUAL_TOL = 1e-10
 CHAIN_TOL = 1e-12
@@ -47,7 +49,6 @@ class Potential:
     """
 
     structure: MarkovStructure
-    requested_range: int
     effective_range: int
     table: dict
     tag: str = "potential"
@@ -61,9 +62,6 @@ class Potential:
             raise LsrigidError(
                 f"block {key} not in potential table (dead end or inadmissible)"
             ) from None
-
-    def min_value(self):
-        return min(self.table.values())
 
     def birkhoff_sum(self, path: Sequence[int], n: int):
         """Sum of the potential over the first n shifts of the path."""
@@ -82,63 +80,44 @@ def _blocks(ms: MarkovStructure, k: int):
     return ms.paths(k, starts=live, within=frozenset(live))
 
 
-def potential_from_metric(ms: MarkovStructure, metric: Metric, k: int = 6) -> Potential:
-    """Depth-k truncation of the metric's distance increment along the coding.
+def potential_from_metric(ms: MarkovStructure, metric: Metric, k: int | None = None) -> Potential:
+    """The distance increment along the coding, as a potential on blocks.
 
-    On a block (x_0, ..., x_k) the value is
-    dist(ev(x_0..x_k)) - dist(ev(x_1..x_k)), so Birkhoff sums along a path
-    from the initial state telescope to the distance of the spelled word up to
-    a constant controlled by ``sweep_telescoping``.
+    On a block (x_0, ..., x_k) whose edges spell l_1..l_k the value is
+    dist(l_1..l_k) - dist(l_2..l_k).  As dist(w) = dist(w^-1), that is the
+    increment of appending -l_1 to -l_k..-l_2, read off
+    ``window_increments``: with window K it depends on l_1..l_{K+1} alone, so
+    blocks are listed to depth min(k, K+1).  The default k = K+1 is exact:
+    the Birkhoff sum of the first n steps of a path from the initial state
+    is the distance of the spelled prefix plus a tail term, a function of
+    the letters n-K+1..n+K only.  A smaller k truncates the increment
+    (``sweep_telescoping`` measures what that costs).  The coding's paths
+    must spell reduced words; a step that cancels raises ValidationError.
     """
-    if k < 1:
+    inc = window_increments(metric)
+    depth = inc.window + 1 if k is None else min(k, inc.window + 1)
+    if depth < 1:
         raise ValueError("potential range must be at least 1")
     base = _base_structure(ms)
-    dist = metric.dist
-    rank = base.rank
-    rational = not isinstance(dist(Word((), rank)), float)
-    cache: dict[tuple[int, ...], object] = {}
-
-    def labels_of(block: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(
-            base.label_of(i, j) for i, j in zip(block, block[1:])
-        )
-
-    def increment(labels: tuple[int, ...]):
-        if labels in cache:
-            return cache[labels]
-        full = dist(Word(labels, rank))
-        tail = dist(Word(labels[1:], rank))
-        value = full - tail
-        cache[labels] = value
-        return value
-
-    table = {}
-    for block in _blocks(base, k):
-        table[block] = increment(labels_of(block))
-
-    effective = k
-    for j in range(1, k):
+    for h, i, j in _blocks(base, 2):
+        if base.label_of(h, i) == -base.label_of(i, j):
+            raise ValidationError(f"coding edge {base.states[i]} -> {base.states[j]} cancels a letter")
+    table = {
+        block: inc.table[tuple(-base.label_of(i, j) for i, j in zip(block, block[1:]))[::-1]]
+        for block in _blocks(base, depth)
+    }
+    effective = depth
+    for j in range(1, depth):
         groups: dict[tuple[int, ...], object] = {}
-        constant = True
-        for block, value in table.items():
-            key = block[: j + 1]
-            if key in groups:
-                if groups[key] != value:
-                    constant = False
-                    break
-            else:
-                groups[key] = value
-        if constant:
-            table = groups
-            effective = j
+        if all(groups.setdefault(block[: j + 1], value) == value for block, value in table.items()):
+            table, effective = groups, j
             break
     return Potential(
         structure=base,
-        requested_range=k,
         effective_range=effective,
         table=table,
-        tag=f"{metric.tag}_k{k}",
-        rational=rational,
+        tag=f"{metric.tag}_k{depth}",
+        rational=not any(isinstance(value, float) for value in table.values()),
     )
 
 
@@ -149,7 +128,6 @@ def constant_potential(ms: MarkovStructure, value=1) -> Potential:
     table = {block: (Fraction(value) if rational else value) for block in _blocks(base, 1)}
     return Potential(
         structure=base,
-        requested_range=1,
         effective_range=1,
         table=table,
         tag=f"constant_{value}",
@@ -536,8 +514,9 @@ def sweep_telescoping(
     Samples uniform non-backtracking paths from the initial state and reports,
     for each k, the largest deviation between the Birkhoff sum and the true
     distance of the spelled word over all prefixes of length <= n_steps.
-    The coding's paths must spell reduced words; a step that cancels raises
-    ValidationError.
+    Every k >= K+1, K the increment window, gives the exact potential, so
+    their defects are equal: the largest tail term.  The coding's paths must
+    spell reduced words; a step that cancels raises ValidationError.
     """
     base = _base_structure(ms)
     k_max = max(ks)
@@ -557,10 +536,7 @@ def sweep_telescoping(
         dists = []
         state, total = (), 0
         for i, j in zip(path, path[1:]):
-            x = base.label_of(i, j)
-            if state and x == -state[-1]:
-                raise ValidationError(f"coding edge {base.states[i]} -> {base.states[j]} cancels a letter")
-            state = inc.step(state, x)
+            state = inc.step(state, base.label_of(i, j))
             total += inc.table[state]
             dists.append(total)
         for k in ks:

@@ -12,6 +12,8 @@ Claims covered:
       stabilisation at depth 1, null-cylinder decay, codings whose paths
       cancel rejected
     - measured two-sided bounds around exp(-v Birkhoff sum)
+    - the entry table and the mass band compute Z_n once per call and give
+      the per-prefix cylinder masses bit for bit
     - sampler: determinism, seed sensitivity, Gibbs statistics, entry table
     - recurrence reports (depth < 1 rejected) and ray file round trips
 """
@@ -279,6 +281,24 @@ def test_cylinder_mass_bounds_enclose_estimate(aug2, unit_rose2, td_unit):
         lo, hi = cylinder_mass_bounds(prefix, td_unit, aug2, band.band)
         est = cylinder_mass_estimate(list(prefix), aug2, unit_rose2, td_unit.v, 12)
         assert lo * (1 - 1e-9) <= est.value <= hi * (1 + 1e-9)
+
+
+def test_one_partition_sum_per_call(free2, aug2, comp2, twisted, monkeypatch):
+    pot = thermo.potential_from_metric(free2, twisted)
+    td = thermo.pressure(comp2, pot, thermo.solve_growth_rate(free2, pot).v_star)
+    calls = []
+    real = psmeasure.partition_sums
+    monkeypatch.setattr(psmeasure, "partition_sums", lambda *args: calls.append(args) or real(*args))
+    table = entry_weight_table(aug2, twisted, td.v)
+    band = measure_mass_band(aug2, twisted, td, depth=2, n=8)
+    assert len(calls) == 2
+    monkeypatch.undo()
+    for prefix, weight in table:
+        assert weight == cylinder_mass_estimate(prefix, aug2, twisted, td.v, max(16, len(prefix) + 4)).value
+    for prefix, ratio in band.ratios.items():
+        ext = psmeasure._canonical_extension(aug2, aug2.resolve(prefix), pot.effective_range)
+        ref = math.exp(-td.v * float(pot.birkhoff_sum(ext, len(prefix) - 1)))
+        assert ratio == cylinder_mass_estimate(prefix, aug2, twisted, td.v, 8).value / ref
 
 
 def test_entry_weight_table_free_coding(entry_table_unit):

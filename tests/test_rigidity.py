@@ -9,15 +9,21 @@ Claims covered:
       count_below(T) <= log(1 + T) for every T up to t_max
     - the CSV file round-trips classes, powers, positions, witnesses and
       witness lengths
+    - the seed-7 set has full rank 2 and recovers the edge lengths of a rose
+      from its witness lengths; perturbed targets are inconsistent and a
+      rank-deficient set is refused
 """
 
+import dataclasses
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lsrigid import psmeasure, rigidity, words
+from lsrigid import psmeasure, rigidity, treemetric, words
+from lsrigid.errors import ValidationError
 from lsrigid.rigidity import BUDGET_SLACK, RigidSet, _budget_feasible, parse_budget
 
 
@@ -77,3 +83,24 @@ def test_rigid_set_csv_round_trip(rigid7, tmp_path):
     fields = lambda e: (e.cls, e.power, e.n1, e.n2, e.witness1, e.witness2, e.ell1, e.ell2)
     assert [fields(e) for e in again.entries] == [fields(e) for e in rigid7.entries]
     assert again.witness_lengths() == rigid7.witness_lengths()
+
+
+def test_rank_and_length_recovery(rigid7):
+    assert rigidity.rose_rank_check(rigid7) == 2
+    rose = treemetric.rose([Fraction(3, 2), Fraction(1, 2)])
+    targets = {c: rose.translation_length(c) for c in rigid7.witness_classes()}
+    got = rigidity.recover_lengths(rigid7, targets)
+    assert got.consistent
+    assert max(abs(x - y) for x, y in zip(got.lengths, (1.5, 0.5))) <= 1e-9
+    bent = dict(targets)
+    bent[rigid7.witness_classes()[0]] += Fraction(1, 4)
+    assert not rigidity.recover_lengths(rigid7, bent).consistent
+
+
+def test_rank_deficient_set_refused(rigid7):
+    powers = [words.ConjClass.from_str(s, 2, identify_inverse=True) for s in ("a", "aa")]
+    entry = dataclasses.replace(rigid7.entries[0], witness_class1=powers[0], witness_class2=powers[1])
+    deficient = dataclasses.replace(rigid7, entries=(entry,))
+    assert rigidity.rose_rank_check(deficient) == 1
+    with pytest.raises(ValidationError, match="rank 1 < 2"):
+        rigidity.recover_lengths(deficient, lambda c: 1.0)

@@ -9,6 +9,16 @@ Claims covered:
     - preimage sums against a brute-force oracle; decay on subcritical parts
     - telescoping defect of truncated potentials is finite and non-increasing;
       codings whose paths cancel rejected
+    - the potential read off the increments table equals the dist-based
+      construction it replaced, for every depth 1..6, on roses, twisted
+      roses, the theta graph, the tail-cycle and dead-end codings and random
+      marked metrics of rank 2 and 3
+    - at the default depth K+1 (K the increment window) the potential is
+      exact: the growth rate of a marked unit rose is log 3, the Birkhoff
+      sum minus the distance is a function of the letters around the end of
+      the prefix, and telescoping defects are equal for every k >= K+1
+    - an oracle without a window and a coding whose paths cancel are
+      rejected
 """
 
 import math
@@ -17,7 +27,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from lsrigid import coding, fixtures, thermo, treemetric, words
+from lsrigid import coding, fixtures, rigidity, thermo, treemetric, words
 from lsrigid.coding import scc_decompose
 from lsrigid.errors import ValidationError
 from lsrigid.thermo import (
@@ -29,6 +39,7 @@ from lsrigid.thermo import (
     solve_growth_rate,
     sweep_telescoping,
 )
+from lsrigid.treemetric import window_increments
 from lsrigid.words import Word
 
 
@@ -253,3 +264,135 @@ def test_telescoping_sweep_rejects_cancelling_coding(unit_rose2):
     # the backtracking edge a -> A spells aA, which is not a reduced word
     with pytest.raises(ValidationError):
         sweep_telescoping(fixtures.coding_with_backtrack(2), unit_rose2, ks=(1,), n_steps=20, n_paths=20, seed=0)
+
+
+# -- the potential read off the increments table -----------------------------------
+
+
+def _dist_reference(ms, k, dist):
+    """The dist-based construction the increments table replaced: each
+    k-block's value is dist(labels) - dist(labels without the first), and the
+    table is reduced to the least range its values depend on."""
+    base = thermo._base_structure(ms)
+    table = {}
+    for block in thermo._blocks(base, k):
+        labels = tuple(map(base.label_of, block, block[1:]))
+        table[block] = dist(labels) - dist(labels[1:])
+    for j in range(1, k):
+        groups = {}
+        if all(groups.setdefault(block[: j + 1], value) == value for block, value in table.items()):
+            return groups, j
+    return table, k
+
+
+def _assert_matches_reference(ms, metric, exact=True):
+    memo = {}
+
+    def dist(labels):
+        if labels not in memo:
+            memo[labels] = metric.dist(Word(labels, metric.rank))
+        return memo[labels]
+
+    for k in range(1, 7):
+        pot = potential_from_metric(ms, metric, k=k)
+        table, effective = _dist_reference(ms, k, dist)
+        assert pot.effective_range == effective, (metric.tag, k)
+        if exact:
+            assert pot.table == table, (metric.tag, k)
+        else:  # a dead end: the shallower table also lists blocks that run into it
+            assert all(pot.table[block] == value for block, value in table.items()), (metric.tag, k)
+
+
+def _marked_unit_rose(spec):
+    return treemetric.marked_rose([1, 1], words.parse_substitution(spec, 2))
+
+
+def test_potential_matches_dist_reference(free2, unit_rose2, rose12, twisted, theta_graph):
+    aba = _marked_unit_rose({"a": "aba", "b": "ba"})
+    for metric in (unit_rose2, rose12, twisted, treemetric.as_float(twisted), aba, theta_graph):
+        _assert_matches_reference(free2, metric)
+    _assert_matches_reference(fixtures.coding_with_tail_cycle(2), unit_rose2)
+    _assert_matches_reference(fixtures.coding_with_tail_cycle(2), twisted)
+    _assert_matches_reference(fixtures.coding_with_dead_end(2), twisted, exact=False)
+
+
+@pytest.mark.parametrize("rank", [2, 3])
+def test_potential_matches_dist_reference_random(rank):
+    # rank 3 runs on binary64 copies: the lengths are dyadic, so every sum is
+    # exact, and the reference's 112,500 depth-6 blocks take half the time
+    ms = coding.build_free_group_coding(rank)
+    for seed in range(20):
+        metric = rigidity.random_marked_metric(np.random.default_rng([rank, seed]), rank)
+        _assert_matches_reference(ms, metric if rank == 2 else treemetric.as_float(metric))
+
+
+@pytest.mark.parametrize(
+    "spec, window, wrong",
+    [({"a": "ab", "b": "b"}, 1, (1,)), ({"a": "aba", "b": "ba"}, 2, (1, 2))],
+)
+def test_default_depth_is_exact(free2, spec, window, wrong):
+    graph = _marked_unit_rose(spec)
+    assert window_increments(graph).window == window
+    pot = potential_from_metric(free2, graph)
+    assert pot.tag.endswith(f"_k{window + 1}")
+    # a marked unit rose spans the same tree as the unit rose: v* = log 3
+    for k in (None, window + 1, window + 3):
+        v = solve_growth_rate(free2, potential_from_metric(free2, graph, k=k)).v_star
+        assert abs(v - math.log(3)) <= 1e-9
+    for k in wrong:  # shallower truncations miss the cancellation
+        v = solve_growth_rate(free2, potential_from_metric(free2, graph, k=k)).v_star
+        assert v - math.log(3) < -0.3
+
+
+def _tail_conflicts(ms, metric, n_paths=60, n_steps=24, seed=0):
+    """Sample paths from the initial state; the gap between the Birkhoff sum
+    of the first n steps and the distance of the spelled prefix must be a
+    function of letters[max(0, n - K) : n + k - 1].  Returns the number of
+    keys seen with two different gaps."""
+    window = window_increments(metric).window
+    k = window + 1
+    pot = potential_from_metric(ms, metric)
+    rng = np.random.default_rng(seed)
+    gaps = {}
+    conflicts = 0
+    for _ in range(n_paths):
+        path = [ms.initial_index]
+        while len(path) < n_steps + k + 1:
+            path.append(int(rng.choice(ms.succ[path[-1]])))
+        letters = tuple(map(ms.label_of, path, path[1:]))
+        for n in range(1, n_steps + 1):
+            gap = pot.birkhoff_sum(path, n) - metric.dist(Word(letters[:n], ms.rank))
+            key = letters[max(0, n - window) : n + k - 1]
+            conflicts += gaps.setdefault(key, gap) != gap
+    return conflicts
+
+
+def test_defect_is_a_tail_term(free2, twisted, theta_graph):
+    for metric in (twisted, _marked_unit_rose({"a": "aba", "b": "ba"}), theta_graph):
+        assert _tail_conflicts(free2, metric) == 0, metric.tag
+    for seed in range(10):
+        metric = rigidity.random_marked_metric(np.random.default_rng([7, seed]), 2)
+        assert _tail_conflicts(free2, metric, n_paths=20, seed=seed) == 0, metric.tag
+
+
+def test_telescoping_defects_equal_from_the_window(free2, twisted):
+    for graph in (twisted, _marked_unit_rose({"a": "aba", "b": "ba"})):
+        exact = window_increments(graph).window + 1
+        ks = (exact, exact + 1, exact + 3)
+        report = sweep_telescoping(free2, graph, ks=ks, n_steps=40, n_paths=30, seed=2)
+        assert len({report.defects[k] for k in ks}) == 1
+
+
+def test_potential_rejects_windowless_oracle(free2, twisted):
+    oracle = treemetric.MetricOracle(dist=twisted.dist, rank=2)
+    with pytest.raises(ValidationError, match="window"):
+        potential_from_metric(free2, oracle)
+    declared = treemetric.MetricOracle(dist=twisted.dist, rank=2, window=1)
+    assert potential_from_metric(free2, declared).table == potential_from_metric(free2, twisted).table
+
+
+def test_potential_rejects_cancelling_coding(unit_rose2):
+    # the backtracking edge a -> A spells aA, which is not a reduced word
+    for k in (None, 1, 4):
+        with pytest.raises(ValidationError, match="cancels"):
+            potential_from_metric(fixtures.coding_with_backtrack(2), unit_rose2, k=k)
