@@ -14,6 +14,7 @@ from .coding import (
     MarkovStructure,
     augment,
     build_free_group_coding,
+    check_reduced_coding,
     classify_components,
     find_loop_for_class,
     load_structure,
@@ -21,7 +22,6 @@ from .coding import (
     validate_strongly_markov,
 )
 from .errors import (
-    BelowThresholdError,
     ConvergenceError,
     LsrigidError,
     NotFoundError,
@@ -33,7 +33,6 @@ from .psmeasure import (
     BallMeasure,
     RaySample,
     ball_measure,
-    cylinder_mass_bounds,
     cylinder_mass_estimate,
     entry_weight_table,
     load_ray,
@@ -65,7 +64,6 @@ from .thermo import (
     Potential,
     TransferData,
     check_rpf_sums,
-    constant_potential,
     gibbs_cylinder_weight,
     potential_from_metric,
     pressure,
@@ -76,14 +74,10 @@ from .treemetric import (
     MetricGraph,
     MetricOracle,
     ball_counts,
-    dilation,
     graph_from_json,
-    gromov_product,
     load_graph,
     marked_rose,
     rose,
-    tl_via_gromov,
-    translation_length,
     word_metric,
 )
 from .words import ConjClass, Word, cyclic_reduce, enumerate_classes, enumerate_sphere, reduce

@@ -52,10 +52,9 @@ def cmd_coding_build(args) -> int:
 
 
 def cmd_coding_validate(args) -> int:
-    ms = _load_structure_arg(args)
-    report = coding.validate_strongly_markov(ms, radius=args.radius)
-    print(report.summary())
-    return 0 if report.ok else 2
+    coding.check_reduced_coding(_load_structure_arg(args))
+    print("OK")
+    return 0
 
 
 def cmd_coding_components(args) -> int:
@@ -287,7 +286,6 @@ _CONFIG_DEFAULTS = {
     "mmax": 8,
     "seed": 7,
     "battery_pairs": 50,
-    "validate_radius": 6,
 }
 
 
@@ -330,10 +328,8 @@ def run_pipeline(config_path, out_dir, seed_override: int | None = None) -> dict
 
     with stage("coding"):
         ms = coding.build_free_group_coding(int(config["rank"]))
+        coding.check_reduced_coding(ms)
         aug = coding.augment(ms)
-        report = coding.validate_strongly_markov(ms, radius=int(config["validate_radius"]))
-        if not report.ok:
-            raise ValidationError("coding failed validation", report=report)
 
     with stage("metric"):
         graph_spec = config["graph"]
@@ -450,11 +446,9 @@ def _selfcheck_rows():
     ms3 = coding.build_free_group_coding(3)
 
     def check_bijection():
-        for ms, n_ok in ((ms2, 10), (ms3, 10)):
-            for n in range(1, n_ok + 1):
-                if ms.count_paths(n) != words.sphere_size(ms.rank, n):
-                    return False, f"path count mismatch at rank {ms.rank}, n={n}"
-        return True, "path counts match sphere sizes for n <= 10, rank 2 and 3"
+        coding.check_reduced_coding(ms2)
+        coding.check_reduced_coding(ms3)
+        return True, "paths spell each reduced word once, rank 2 and 3 (exact proof)"
 
     def check_components():
         rep = coding.classify_components(ms2)
@@ -520,10 +514,13 @@ def _selfcheck_rows():
         return r1.states == r2.states, "identical rays from identical seeds"
 
     def check_doctored_validation():
-        rep = coding.validate_strongly_markov(fixtures.coding_with_backtrack(2), radius=3)
-        return (not rep.ok) and rep.counterexample is not None, (
-            f"backtracking edge flagged (counterexample {rep.counterexample})"
-        )
+        try:
+            coding.check_reduced_coding(fixtures.coding_with_backtrack(2))
+        except ValidationError as exc:
+            return exc.counterexample is not None, (
+                f"backtracking edge flagged (counterexample {exc.counterexample})"
+            )
+        return False, "backtracking edge accepted"
 
     def check_folding():
         subst = lambda spec: words.parse_substitution(spec, 2)
@@ -601,9 +598,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rank", type=int, required=True)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_coding_build)
-    p = csub.add_parser("validate", help="bijection/geodesic checks on a ball")
+    p = csub.add_parser(
+        "validate", help="prove that paths from * spell every reduced word exactly once"
+    )
     add_common(p)
-    p.add_argument("--radius", type=int, default=8)
     p.set_defaults(fn=cmd_coding_validate)
     p = csub.add_parser("components", help="strongly connected components and growth")
     add_common(p)

@@ -3,7 +3,9 @@
 A structure is a finite directed labelled graph with initial state ``*`` whose
 paths from ``*`` spell geodesic words and biject onto the group.  The shipped
 constructor covers free groups (states = last letters, no-backtrack edges);
-arbitrary structures can be loaded from JSON and validated on finite balls.
+arbitrary structures can be loaded from JSON.  ``check_reduced_coding``
+proves the bijection for every length at once; ``validate_strongly_markov``
+checks it ball by ball and serves as the reference.
 Augmentation appends a ``0`` state absorbing finite paths, so group elements
 and boundary rays both appear as infinite paths.
 """
@@ -12,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Container, Iterable, Iterator, Sequence
@@ -20,6 +23,7 @@ import numpy as np
 
 from .errors import ConvergenceError, NotFoundError, ValidationError
 from .words import (
+    MAX_RANK,
     ConjClass,
     Word,
     alphabet,
@@ -79,22 +83,11 @@ class MarkovStructure:
     def initial_index(self) -> int:
         return self._index[self.initial]
 
-    def edge_count(self) -> int:
-        return sum(len(t) for t in self.succ)
-
     def label_of(self, i: int, j: int) -> int:
         return self._label_map[(i, j)]
 
     def has_edge(self, i: int, j: int) -> bool:
         return (i, j) in self._label_map
-
-    def transition_matrix(self) -> np.ndarray:
-        n = self.n_states
-        a = np.zeros((n, n), dtype=np.int64)
-        for i, targets in enumerate(self.succ):
-            for j in targets:
-                a[i, j] = 1
-        return a
 
     def resolve(self, states: Sequence[str | int]) -> tuple[int, ...]:
         return tuple(s if isinstance(s, int) else self._index[s] for s in states)
@@ -172,19 +165,6 @@ class MarkovStructure:
                     frontier.append(j)
         return seen
 
-    def count_paths(self, n: int) -> int:
-        """Number of length-n paths from the initial state, by exact matrix power."""
-        vec = [0] * self.n_states
-        vec[self.initial_index] = 1
-        for _ in range(n):
-            nxt = [0] * self.n_states
-            for i, v in enumerate(vec):
-                if v:
-                    for j in self.succ[i]:
-                        nxt[j] += v
-            vec = nxt
-        return sum(vec)
-
     def to_json(self) -> dict:
         edges = []
         for i, (targets, letters) in enumerate(zip(self.succ, self.labels)):
@@ -211,8 +191,8 @@ def build_free_group_coding(rank: int) -> MarkovStructure:
     by t's letter whenever t is not the inverse of s.  Paths from ``*`` spell
     exactly the reduced words.
     """
-    if rank < 2:
-        raise ValueError("rank must be at least 2")
+    if not 2 <= rank <= MAX_RANK:
+        raise ValidationError(f"rank must be between 2 and {MAX_RANK}, got {rank}")
     letters = alphabet(rank)
     states = (INITIAL,) + tuple(letter_to_char(l) for l in letters)
     state_letter = {i + 1: l for i, l in enumerate(letters)}
@@ -316,6 +296,52 @@ def load_structure(path) -> MarkovStructure:
 # -- validation ---------------------------------------------------------------
 
 
+def check_reduced_coding(ms: MarkovStructure) -> None:
+    """Prove that the paths from the initial state spell every reduced word once.
+
+    Walks the product of the coding with the last-letter automaton of reduced
+    words.  At each reachable pair (state s, last letter l) the labels leaving
+    s must be exactly the letters x != -l, each once.  By induction on n, that
+    holds at every reachable pair iff the n-edge paths from the initial state
+    biject onto the reduced words of length n, for every n.  The walk costs
+    O(states * 2N * 2N).  Raises ValidationError whose counterexample is the
+    state path of the first bad step, breadth first.
+    """
+    letters = alphabet(ms.rank)
+    first = ms.initial_index
+    queue = deque([(first, 0, (first,))])
+    visited = {(first, 0)}
+    while queue:
+        s, last, path = queue.popleft()
+        seen = set()
+        for j in ms.succ[s]:
+            x = ms.label_of(s, j)
+            problem = (
+                f"no letter of rank {ms.rank}" if x not in letters
+                else "the inverse of the letter before" if x == -last
+                else "a letter another step from the same state reads" if x in seen
+                else None
+            )
+            if problem:
+                bad = tuple(ms.states[i] for i in path + (j,))
+                raise ValidationError(
+                    f"step {bad[-2]} -> {bad[-1]} reads {letter_to_char(x) if x else '1'}, "
+                    f"{problem} (path {' '.join(bad)})",
+                    counterexample=bad,
+                )
+            seen.add(x)
+            if (j, x) not in visited:
+                visited.add((j, x))
+                queue.append((j, x, path + (j,)))
+        missing = [letter_to_char(x) for x in letters if x != -last and x not in seen]
+        if missing:
+            names = tuple(ms.states[i] for i in path)
+            raise ValidationError(
+                f"no step reads {', '.join(missing)} after the path {' '.join(names)}",
+                counterexample=names,
+            )
+
+
 @dataclass(frozen=True)
 class ValidationRow:
     n: int
@@ -330,15 +356,6 @@ class StructureReport:
     rows: tuple[ValidationRow, ...]
     ok: bool
     counterexample: tuple[str, ...] | None
-
-    def summary(self) -> str:
-        lines = ["n  paths  sphere  geodesic_violations  duplicates"]
-        for r in self.rows:
-            lines.append(
-                f"{r.n:<3}{r.paths:<7}{r.sphere:<8}{r.geodesic_violations:<21}{r.duplicate_words}"
-            )
-        lines.append("OK" if self.ok else f"FAILED (counterexample: {self.counterexample})")
-        return "\n".join(lines)
 
 
 def validate_strongly_markov(ms: MarkovStructure, radius: int = 8) -> StructureReport:

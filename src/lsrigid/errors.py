@@ -43,14 +43,6 @@ class ConvergenceError(LsrigidError):
         self.iterations = iterations
 
 
-class BelowThresholdError(LsrigidError):
-    """Translation-length estimate below the reliability threshold; value attached."""
-
-    def __init__(self, message, value=None):
-        super().__init__(message)
-        self.value = value
-
-
 class StageError(LsrigidError):
     """Pipeline failure tagged with the stage that raised it."""
 

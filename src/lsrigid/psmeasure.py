@@ -225,26 +225,6 @@ def _canonical_extension(aug: AugmentedStructure, idx: Sequence[int], extra: int
     return out
 
 
-def cylinder_mass_bounds(
-    prefix: Sequence[str | int],
-    td: TransferData,
-    aug: AugmentedStructure,
-    band: tuple[float, float],
-) -> tuple[float, float]:
-    """Two-sided bounds band * exp(-v * Birkhoff sum) for a maximal-reaching prefix.
-
-    The band constants come from a measured sweep (see ``measure_mass_band``);
-    the Birkhoff sum is evaluated along the canonical extension of the prefix.
-    """
-    idx = list(aug.resolve(prefix))
-    pot = td.potential
-    m = len(idx) - 1
-    path = _canonical_extension(aug, idx, pot.effective_range)
-    ref = math.exp(-td.v * float(pot.birkhoff_sum(path, m)))
-    lo, hi = band
-    return lo * ref, hi * ref
-
-
 @dataclass(frozen=True)
 class MassBandReport:
     depth: int
@@ -312,20 +292,6 @@ class RaySample:
             if l:
                 letters.append(l)
         return tuple(letters)
-
-    @classmethod
-    def synthetic(
-        cls, aug: AugmentedStructure, states: Sequence[str], component: Component, entry_index: int = 1
-    ) -> "RaySample":
-        idx = np.array(aug.resolve(states), dtype=np.int64)
-        return cls(
-            structure=aug,
-            states=tuple(states),
-            indices=idx,
-            entry_index=entry_index,
-            component=component,
-            seed=None,
-        )
 
 
 def entry_weight_table(
@@ -541,16 +507,3 @@ def load_ray(path, aug: AugmentedStructure) -> RaySample:
         component=component,
         seed=seed,
     )
-
-
-def empirical_pair_frequencies(ray: RaySample) -> dict[tuple[str, str], float]:
-    """Observed frequency of each admissible state pair along the ray tail."""
-    idx = ray.indices[ray.entry_index :]
-    total = len(idx) - 1
-    counts: dict[tuple[int, int], int] = {}
-    for i, j in zip(idx, idx[1:]):
-        counts[(int(i), int(j))] = counts.get((int(i), int(j)), 0) + 1
-    ms = ray.structure
-    return {
-        (ms.states[i], ms.states[j]): c / total for (i, j), c in counts.items()
-    }

@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 import numpy as np
 import scipy.optimize
 
-from .coding import LoopWitness, find_loop_for_class
+from .coding import find_loop_for_class
 from .errors import NotFoundError, ValidationError
 from .psmeasure import RaySample
 from .treemetric import MetricGraph, marked_rose, rose
@@ -167,7 +167,6 @@ def _occurrence_starts(indices: np.ndarray, pattern: Sequence[int]) -> np.ndarra
 class RigidSetEntry:
     cls: ConjClass
     power: int
-    sign: int
     n1: int
     n2: int
     witness1: Word
@@ -176,7 +175,6 @@ class RigidSetEntry:
     witness_class2: ConjClass
     ell1: int
     ell2: int
-    loop: LoopWitness | None = None
 
 
 @dataclass(frozen=True)
@@ -246,7 +244,6 @@ class RigidSet:
                 RigidSetEntry(
                     cls=ConjClass.from_str(r["class"], rank, identify_inverse=True),
                     power=int(r["M"]),
-                    sign=1,
                     n1=int(r["N1"]),
                     n2=int(r["N2"]),
                     witness1=w1,
@@ -337,7 +334,6 @@ def build_rigid_set(
                 RigidSetEntry(
                     cls=c,
                     power=loop.power,
-                    sign=loop.sign,
                     n1=n1,
                     n2=n2,
                     witness1=w1,
@@ -346,7 +342,6 @@ def build_rigid_set(
                     witness_class2=wc2,
                     ell1=len(wc1),
                     ell2=len(wc2),
-                    loop=loop,
                 )
             )
             placed = True

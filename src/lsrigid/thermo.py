@@ -121,20 +121,6 @@ def potential_from_metric(ms: MarkovStructure, metric: Metric, k: int | None = N
     )
 
 
-def constant_potential(ms: MarkovStructure, value=1) -> Potential:
-    """Potential identically equal to ``value``; its pressure is the loop growth."""
-    base = _base_structure(ms)
-    rational = not isinstance(value, float)
-    table = {block: (Fraction(value) if rational else value) for block in _blocks(base, 1)}
-    return Potential(
-        structure=base,
-        effective_range=1,
-        table=table,
-        tag=f"constant_{value}",
-        rational=rational,
-    )
-
-
 # -- transfer operator --------------------------------------------------------
 
 
@@ -504,7 +490,7 @@ class TelescopingReport:
 def sweep_telescoping(
     ms: MarkovStructure,
     metric: Metric,
-    ks: Sequence[int] = (1, 2, 3, 4, 5, 6, 7, 8, 9, 10),
+    ks: Sequence[int] | None = None,
     n_steps: int = 200,
     n_paths: int = 1000,
     seed: int = 0,
@@ -515,19 +501,24 @@ def sweep_telescoping(
     for each k, the largest deviation between the Birkhoff sum and the true
     distance of the spelled word over all prefixes of length <= n_steps.
     Every k >= K+1, K the increment window, gives the exact potential, so
-    their defects are equal: the largest tail term.  The coding's paths must
-    spell reduced words; a step that cancels raises ValidationError.
+    ``ks`` defaults to 1..K+1 and a larger k is measured at depth K+1.  Every
+    path is n_steps + K+1 steps long, whatever ``ks`` is, so a k's defect does
+    not depend on which other ks are swept.  The coding's paths must spell
+    reduced words; a step that cancels raises ValidationError.
     """
     base = _base_structure(ms)
-    k_max = max(ks)
     rng = np.random.Generator(np.random.Philox(key=seed))
     inc = window_increments(metric)
-    pots = {k: potential_from_metric(base, metric, k) for k in ks}
-    defects = {k: 0.0 for k in ks}
+    exact = inc.window + 1
+    if ks is None:
+        ks = range(1, exact + 1)
+    depth_of = {k: min(k, exact) for k in ks}
+    pots = {d: potential_from_metric(base, metric, d) for d in sorted(set(depth_of.values()))}
+    worst = {d: 0.0 for d in pots}
     zero = base.index(ZERO) if ZERO in base.states else None
     for _ in range(n_paths):
         path = [base.initial_index]
-        for _ in range(n_steps + k_max):
+        for _ in range(n_steps + exact):
             options = [j for j in base.succ[path[-1]] if j != zero]
             if not options:
                 raise ValidationError("dead end while sampling a telescoping path")
@@ -539,15 +530,14 @@ def sweep_telescoping(
             state = inc.step(state, base.label_of(i, j))
             total += inc.table[state]
             dists.append(total)
-        for k in ks:
-            pot = pots[k]
+        for d, pot in pots.items():
             running = Fraction(0) if pot.rational else 0.0
-            worst = 0.0
+            top = worst[d]
             for m in range(1, n_steps + 1):
-                running += pot.value(path[m - 1 : m + k])
+                running += pot.value(path[m - 1 : m + d])
                 gap = abs(float(running - dists[m - 1]))
-                if gap > worst:
-                    worst = gap
-            if worst > defects[k]:
-                defects[k] = worst
+                if gap > top:
+                    top = gap
+            worst[d] = top
+    defects = {k: worst[d] for k, d in depth_of.items()}
     return TelescopingReport(defects=defects, n_steps=n_steps, n_paths=n_paths, seed=seed)

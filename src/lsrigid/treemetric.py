@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .errors import BelowThresholdError, ResourceCapError, ValidationError
+from .errors import ResourceCapError, ValidationError
 from .words import (
     ConjClass,
     Word,
@@ -44,7 +44,6 @@ from .words import (
     sphere_size,
 )
 
-FLOAT_TOL = 1e-12
 WINDOW_CAP = 200_000
 
 
@@ -625,57 +624,7 @@ def load_graph(path) -> MetricGraph:
     return graph_from_json(obj)
 
 
-# -- metric functionals ------------------------------------------------------
-
-
-def gromov_product(x: Word, y: Word, metric: Metric) -> Fraction | float:
-    """(x, y) at the identity: half of dist(x) + dist(y) - dist(x^-1 y)."""
-    d = metric.dist
-    value = d(x) + d(y) - d((~x) * y)
-    if isinstance(value, Fraction):
-        return value / 2
-    return value / 2.0
-
-
-def translation_length(c: ConjClass | Word, graph: MetricGraph) -> Fraction | float:
-    return graph.translation_length(c)
-
-
-def tl_via_gromov(x: Word, metric: Metric, threshold=0):
-    """dist(x) - 2 (x, x^-1); equals the translation length exactly on trees.
-
-    Raises BelowThresholdError when the value falls below ``threshold``, the
-    regime where the general-metric estimate is unreliable.
-    """
-    d = metric.dist
-    value = d(x) - 2 * gromov_product(x, ~x, metric)
-    if value < threshold:
-        raise BelowThresholdError(
-            f"estimate {value} below threshold {threshold} for {x}", value=value
-        )
-    return value
-
-
-def dilation(
-    length1: Callable[[ConjClass], Fraction | float],
-    length2: Callable[[ConjClass], Fraction | float],
-    classes: Sequence[ConjClass],
-):
-    """max of length1[c]/length2[c] over the given classes.
-
-    A certified lower bound for the supremum over all conjugacy classes.
-    """
-    if not classes:
-        raise ValueError("need at least one class")
-    best = None
-    for c in classes:
-        denom = length2(c)
-        if denom == 0:
-            raise ZeroDivisionError(f"zero translation length for {c}")
-        ratio = length1(c) / denom
-        if best is None or ratio > best:
-            best = ratio
-    return best
+# -- ball counts ---------------------------------------------------------------
 
 
 def ball_counts(metric: Metric, radii: Sequence) -> list[int]:

@@ -29,17 +29,14 @@ def char_to_letter(ch: str) -> int:
     return idx if ch.islower() else -idx
 
 
-def letter_key(letter: int) -> tuple[int, int]:
-    """Total order a < a^-1 < b < b^-1 < ... used for all canonical choices."""
-    return (abs(letter), 0 if letter > 0 else 1)
-
-
-def word_key(letters: Sequence[int]) -> tuple[tuple[int, int], ...]:
-    return tuple(letter_key(l) for l in letters)
+def word_key(letters: Sequence[int]) -> tuple[int, ...]:
+    """Letter codes 2|l| + (l < 0): their order a < a^-1 < b < b^-1 < ... is the
+    one used for all canonical choices."""
+    return tuple((abs(l) << 1) | (l < 0) for l in letters)
 
 
 def alphabet(rank: int) -> list[int]:
-    """The 2N signed letters of rank N in ``letter_key`` order: a, A, b, B, ..."""
+    """The 2N signed letters of rank N in ``word_key`` order: a, A, b, B, ..."""
     return [l for i in range(1, rank + 1) for l in (i, -i)]
 
 
@@ -111,7 +108,7 @@ class Word:
         text = text.strip()
         if text in ("", "1"):
             return identity(rank)
-        return cls(free_reduce(char_to_letter(c) for c in text), rank)
+        return reduce((char_to_letter(c) for c in text), rank)
 
 
 def identity(rank: int) -> Word:
@@ -148,11 +145,7 @@ def _inverse_cyclic(letters: Sequence[int]) -> tuple[int, ...]:
     return tuple(-l for l in reversed(letters))
 
 
-def _letter_code(letter: int) -> int:
-    return (abs(letter) << 1) | (0 if letter > 0 else 1)
-
-
-def _least_rotation_index(codes: list[int]) -> int:
+def _least_rotation_index(codes: tuple[int, ...]) -> int:
     """Booth's algorithm: start index of the lexicographically least rotation."""
     n = len(codes)
     doubled = codes + codes
@@ -178,14 +171,15 @@ def _canonical_rotation(letters: Sequence[int], identify_inverse: bool) -> tuple
     letters = tuple(letters)
     if not letters:
         return ()
-    k = _least_rotation_index([_letter_code(l) for l in letters])
+    codes = word_key(letters)
+    k = _least_rotation_index(codes)
     best = letters[k:] + letters[:k]
     if identify_inverse:
         inv = _inverse_cyclic(letters)
-        ki = _least_rotation_index([_letter_code(l) for l in inv])
-        candidate = inv[ki:] + inv[:ki]
-        if word_key(candidate) < word_key(best):
-            best = candidate
+        inv_codes = word_key(inv)
+        ki = _least_rotation_index(inv_codes)
+        if inv_codes[ki:] + inv_codes[:ki] < codes[k:] + codes[:k]:
+            best = inv[ki:] + inv[:ki]
     return best
 
 
@@ -243,12 +237,8 @@ class ConjClass:
 
 def cyclic_reduce(w: Word, identify_inverse: bool = False) -> ConjClass:
     """Canonical conjugacy class of w.  The identity maps to the empty class."""
-    letters = w.letters
-    i, j = 0, len(letters)
-    while j - i >= 2 and letters[i] == -letters[j - 1]:
-        i += 1
-        j -= 1
-    core = letters[i:j]
+    d = conjugation_depth(w)
+    core = w.letters[d : len(w) - d]
     return ConjClass(_canonical_rotation(core, identify_inverse), w.rank, identify_inverse)
 
 

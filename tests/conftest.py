@@ -1,5 +1,5 @@
-"""Shared session fixtures: codings, metrics (roses, the theta graph, the twisted
-rose), growth data, the seed-7 ray."""
+"""Shared session fixtures: codings, metrics (roses, the subdivided rose, the
+theta graph, the barbell, the twisted rose), growth data, the seed-7 ray."""
 
 import pytest
 
@@ -32,22 +32,41 @@ def rose12():
     return treemetric.rose([1, 2])
 
 
-@pytest.fixture(scope="session")
-def theta_graph():
-    """Two vertices, a loop plus a two-edge cycle: Betti number 2, not a rose."""
+def _two_vertex_graph(ends, marking):
+    """Rank-2 graph on vertices u (the basepoint) and w, with edges p, q, r of
+    lengths 1, 1/2, 3/2 between the given ends."""
+    lengths = {"p": 1, "q": "1/2", "r": "3/2"}
     return treemetric.graph_from_json(
         {
             "rank": 2,
             "vertices": ["u", "w"],
             "edges": [
-                {"id": "p", "from": "u", "to": "u", "length": 1},
-                {"id": "q", "from": "u", "to": "w", "length": "1/2"},
-                {"id": "r", "from": "w", "to": "u", "length": "3/2"},
+                {"id": e, "from": src, "to": dst, "length": lengths[e]}
+                for e, (src, dst) in ends.items()
             ],
             "basepoint": "u",
-            "marking": {"a": "p", "b": "q r"},
+            "marking": marking,
         }
     )
+
+
+@pytest.fixture(scope="session")
+def subdivided_rose():
+    """A loop plus a two-edge cycle through w: w has valence 2, so q and r
+    always occur together and the graph is rose [1, 2] with a subdivided petal."""
+    return _two_vertex_graph({"p": ("u", "u"), "q": ("u", "w"), "r": ("w", "u")}, {"a": "p", "b": "q r"})
+
+
+@pytest.fixture(scope="session")
+def theta():
+    """Three edges from u to w, every vertex of valence 3."""
+    return _two_vertex_graph({"p": ("u", "w"), "q": ("u", "w"), "r": ("u", "w")}, {"a": "p -q", "b": "p -r"})
+
+
+@pytest.fixture(scope="session")
+def barbell():
+    """A loop at u, a bridge q from u to w and a loop at w."""
+    return _two_vertex_graph({"p": ("u", "u"), "q": ("u", "w"), "r": ("w", "w")}, {"a": "p", "b": "q r -q"})
 
 
 @pytest.fixture(scope="session")

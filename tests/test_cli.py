@@ -3,15 +3,20 @@
 Claims covered:
     - pipeline artifacts are a pure function of (config, seed): pinned digests
     - the pipeline runs off the identity-marked rose: the twisted rose
-      {a: ab, b: b} and the theta graph give full rank and pinned artifacts
+      {a: ab, b: b}, the subdivided rose, the theta graph and the barbell
+      give full rank and pinned artifacts
     - a config that is not a JSON object or has a key outside the defaults
-      (the retired "k" included) fails at [config]
+      (the retired "k" and "validate_radius" included) fails at [config]
+    - the [coding] stage and ``coding build`` refuse a rank outside 2..26
+      with the validation exit code
+    - ``coding validate`` proves the coding exactly: it prints OK, or exits 2
+      with the state path of the first bad step, and takes no --radius
     - exit codes: 2 for a non-isomorphic marking (tagged with its stage), 3
       for a ball over the resource cap and for a graph whose increment window
       passes the cap (``thermo growth``), 4 for a ray too short for the rigid
       set
-    - no command takes --k, and ``ps sample`` takes no --v: its chain exists
-      at v* only
+    - no command takes --k, ``ps sample`` takes no --v (its chain exists at
+      v* only), and ``coding validate`` takes no --radius
     - ``thermo gibbs`` lists every depth-d cylinder of the maximal component
       and rejects depth < 1 with the validation exit code
     - ``selfcheck`` passes every row, the marking-folding row included
@@ -22,7 +27,7 @@ import json
 
 import pytest
 
-from lsrigid import cli
+from lsrigid import cli, fixtures
 
 ARTIFACTS = ("ray.txt", "E.csv", "rank_report.json", "separation_report.json",
              "witness_lengths.svg", "budget_curve.svg")
@@ -55,7 +60,7 @@ PINNED_OFF_ROSE = {
         "witness_lengths.svg": "ec011597654c2af3aee8aca6f8135d92762c494d329191a3ba4862cf58b1677d",
         "budget_curve.svg": "0df4d2b6ad5e7949e37259d19db855406ec37d4b4f0c61129b659f05b782d17c",
     },
-    "theta_graph": {
+    "subdivided_rose": {
         "ray.txt": "8180192f8efde0d8f07fda7b293bc9af872e1ef70b57f7765ca860d48574777e",
         "E.csv": "42d8b8ebec50f8d6004d19c2c79f4ae164811096746c3c0d896d7048fd138671",
         "rank_report.json": "a6dd6a8edbbfd5defdad5a3d9bdbce7df5f538e031adbd3a5497f30627e0fba3",
@@ -63,10 +68,26 @@ PINNED_OFF_ROSE = {
         "witness_lengths.svg": "6fd6ac9e3a7cbbdda108fa3c8bbd6e0c46c3b7f944d214d07b188393ed67d341",
         "budget_curve.svg": "02fa15f4c5d8d20f1ed3810cbdd977067b1d309087b0558f569c7b0466eee80e",
     },
+    "theta": {
+        "ray.txt": "69720221d4328e5d931388b6de3275aacb48e9a4d792a45b948d26066bf6fd8b",
+        "E.csv": "621c4f0f2858e169f61a38b2124fe711040e72043fbbbbae997beea87022c099",
+        "rank_report.json": "a6dd6a8edbbfd5defdad5a3d9bdbce7df5f538e031adbd3a5497f30627e0fba3",
+        "separation_report.json": "3e96cc75d81a0bb3d0f8a26efd15805ec7ab3cde1e27eb09136b684b44e9b825",
+        "witness_lengths.svg": "3123668675127f6bad9b7b316af6353814ca76e12e54db7b0622849d32ac60d3",
+        "budget_curve.svg": "f8387933345ff8bf2ddc64f5d2b8aeb34ebfaacd93867281674f97cdf7e80f2b",
+    },
+    "barbell": {
+        "ray.txt": "a186864419e80db5cd57ff4703c772f35c7591b05ce2529c9fea7c9dc8997e78",
+        "E.csv": "f47816088848fa3688a24dfae8e626434008546ccfc9124ac9a8d8a7591b6e54",
+        "rank_report.json": "a6dd6a8edbbfd5defdad5a3d9bdbce7df5f538e031adbd3a5497f30627e0fba3",
+        "separation_report.json": "3e96cc75d81a0bb3d0f8a26efd15805ec7ab3cde1e27eb09136b684b44e9b825",
+        "witness_lengths.svg": "04cf82b26fd01150cb8aadb6fc5da6fa736bac3b475f78267228687278785d29",
+        "budget_curve.svg": "94dfe4461442f00f38a91df97d31de511e87cee2ee7981707a1f8606549f620a",
+    },
 }
 
 
-@pytest.mark.parametrize("fixture", ["twisted", "theta_graph"])
+@pytest.mark.parametrize("fixture", ["twisted", "subdivided_rose", "theta", "barbell"])
 def test_pipeline_off_the_rose(tmp_path, request, fixture):
     graph = request.getfixturevalue(fixture).to_json()
     config = tmp_path / "config.json"
@@ -83,6 +104,7 @@ def test_pipeline_off_the_rose(tmp_path, request, fixture):
     ({"k": 6}, "unknown config keys: k"),
     ({"ray_lenght": 100}, "unknown config keys: ray_lenght"),
     ([1, 2], "config must be a JSON object"),
+    ({"validate_radius": 0}, "unknown config keys: validate_radius"),
 ])
 def test_config_rejected(tmp_path, capsys, given, message):
     config = tmp_path / "config.json"
@@ -90,6 +112,31 @@ def test_config_rejected(tmp_path, capsys, given, message):
     assert cli.main(["pipeline", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err.startswith(f"error: [config] {message}")
     assert "k" not in cli._CONFIG_DEFAULTS
+
+
+@pytest.mark.parametrize("rank", [1, 27])
+def test_config_rank_out_of_range(tmp_path, capsys, rank):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"rank": rank}))
+    assert cli.main(["pipeline", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("error: [coding] rank must be between 2 and 26")
+
+
+def test_coding_build_rank_out_of_range(capsys):
+    assert cli.main(["coding", "build", "--rank", "27"]) == 2
+    assert "rank must be between 2 and 26, got 27" in capsys.readouterr().err
+
+
+def test_coding_validate(tmp_path, capsys):
+    assert cli.main(["coding", "validate", "--rank", "3"]) == 0
+    assert capsys.readouterr().out == "OK\n"
+    structure = tmp_path / "backtrack.json"
+    structure.write_text(json.dumps(fixtures.coding_with_backtrack(2).to_json()))
+    assert cli.main(["coding", "validate", "--structure", str(structure)]) == 2
+    assert "(path * a A)" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["coding", "validate", "--radius", "8"])
+    assert exc.value.code == 2
 
 
 def test_exit_code_validation(tmp_path, capsys):

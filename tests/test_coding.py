@@ -2,8 +2,12 @@
 
 Claims covered:
     - the shipped coding bijects paths onto reduced words (sphere by sphere)
-    - validation reports geodesic violations and bijection deficits with
-      counterexamples on doctored structures
+    - the exact proof accepts the shipped coding of every rank and rejects
+      doctored structures with the state path of the first bad step; ranks
+      outside 2..26 are refused with the validation error
+    - on seeded mutants of the rank-2 coding the proof agrees with the
+      ball-by-ball validation, which reports geodesic violations and
+      bijection deficits with counterexamples
     - augmentation adds the absorbing 0 state without changing images
     - the path enumerator and the reachability walk agree with brute force
     - component decomposition, exact spectral radii, word-maximality flags
@@ -22,6 +26,7 @@ from lsrigid.coding import (
     build_free_group_coding,
     classify_components,
     find_loop_for_class,
+    check_reduced_coding,
     scc_decompose,
     validate_strongly_markov,
 )
@@ -31,7 +36,9 @@ from lsrigid.words import ConjClass, Word, conjugation_depth
 
 def _oracle_path_counts(ms, n):
     """Independent count via dense numpy matrix powers."""
-    a = ms.transition_matrix().astype(object)
+    a = np.zeros((ms.n_states, ms.n_states), dtype=object)
+    for i, targets in enumerate(ms.succ):
+        a[i, list(targets)] = 1
     vec = np.zeros(ms.n_states, dtype=object)
     vec[ms.initial_index] = 1
     for _ in range(n):
@@ -41,16 +48,16 @@ def _oracle_path_counts(ms, n):
 
 def test_free_coding_shape(free2):
     assert free2.n_states == 5
-    assert free2.edge_count() == 4 + 4 * 3
+    assert sum(map(len, free2.succ)) == 4 + 4 * 3
     free3 = build_free_group_coding(3)
     assert free3.n_states == 7
-    assert free3.edge_count() == 6 + 6 * 5
+    assert sum(map(len, free3.succ)) == 6 + 6 * 5
 
 
 def test_path_counts_match_spheres(free2):
     for n in range(0, 9):
-        assert free2.count_paths(n) == words.sphere_size(2, n)
-        assert free2.count_paths(n) == _oracle_path_counts(free2, n)
+        assert _oracle_path_counts(free2, n) == words.sphere_size(2, n)
+        assert sum(1 for _ in free2.paths(n)) == words.sphere_size(2, n)
 
 
 def test_every_short_path_spells_reduced_word(free2):
@@ -117,7 +124,7 @@ def test_reachable_dead_end_and_tail_cycle():
 def test_ball_bijection_counts():
     for rank in (2, 3):
         ms = build_free_group_coding(rank)
-        total = sum(ms.count_paths(n) for n in range(11))
+        total = sum(_oracle_path_counts(ms, n) for n in range(11))
         assert total == words.ball_size(rank, 10)
 
 
@@ -140,6 +147,71 @@ def test_validation_missing_edge():
     report = validate_strongly_markov(fixtures.coding_missing_generator_edge(2), radius=2)
     assert not report.ok
     assert report.rows[0].paths == 3 and report.rows[0].sphere == 4
+
+
+@pytest.mark.parametrize("rank", [2, 3, 8, 26])
+def test_reduced_coding_proof_accepts_free_codings(rank):
+    check_reduced_coding(build_free_group_coding(rank))
+
+
+@pytest.mark.parametrize("rank", [0, 1, 27])
+def test_free_coding_rank_out_of_range(rank):
+    with pytest.raises(ValidationError, match="rank must be between 2 and 26"):
+        build_free_group_coding(rank)
+
+
+@pytest.mark.parametrize("make, counterexample, message", [
+    (fixtures.coding_with_backtrack, ("*", "a", "A"), "reads A, the inverse of the letter before"),
+    (fixtures.coding_missing_generator_edge, ("*",), "no step reads b after the path *"),
+    (fixtures.coding_with_tail_cycle, ("*", "c1"), "reads a, a letter another step"),
+    (fixtures.coding_with_dead_end, ("*", "d"), "reads a, a letter another step"),
+])
+def test_reduced_coding_proof_counterexamples(make, counterexample, message):
+    with pytest.raises(ValidationError, match=message) as exc:
+        check_reduced_coding(make(2))
+    assert exc.value.counterexample == counterexample
+
+
+def _mutant(rng, base):
+    """The coding with one or two edges relabelled, retargeted, deleted or added."""
+    edges = [(i, j, l) for i, ls in enumerate(base.labels) for j, l in zip(base.succ[i], ls)]
+    letters = words.alphabet(base.rank)
+    for _ in range(int(rng.integers(1, 3))):
+        kind, k = int(rng.integers(4)), int(rng.integers(len(edges)))
+        i, j, l = edges[k]
+        if kind == 0:
+            edges[k] = (i, j, letters[int(rng.integers(len(letters)))])
+        elif kind == 1:
+            edges[k] = (i, int(rng.integers(1, base.n_states)), l)
+        elif kind == 2:
+            del edges[k]
+        else:
+            edges.append((int(rng.integers(base.n_states)), int(rng.integers(1, base.n_states)),
+                          letters[int(rng.integers(len(letters)))]))
+    succ, labels = [[] for _ in base.states], [[] for _ in base.states]
+    for i, j, l in sorted(edges):
+        succ[i].append(j)
+        labels[i].append(l)
+    return coding.MarkovStructure(rank=base.rank, states=base.states, succ=tuple(map(tuple, succ)),
+                                  labels=tuple(map(tuple, labels)))
+
+
+def test_reduced_coding_proof_agrees_with_ball_validation(free2):
+    rng = np.random.default_rng(2024)
+    verdicts = []
+    for _ in range(400):
+        try:
+            ms = _mutant(rng, free2)
+        except ValidationError:  # a state became unreachable
+            continue
+        try:
+            check_reduced_coding(ms)
+            proved = True
+        except ValidationError:
+            proved = False
+        verdicts.append(proved)
+        assert proved == validate_strongly_markov(ms, radius=5).ok
+    assert len(verdicts) > 300 and 0 < sum(verdicts) < len(verdicts)
 
 
 def test_augment(free2, aug2):
@@ -287,7 +359,8 @@ def test_structure_json_round_trip(free2, tmp_path):
     path.write_text(json.dumps(free2.to_json()))
     again = coding.load_structure(path)
     assert again.states == free2.states
-    assert again.count_paths(5) == free2.count_paths(5)
+    assert again == free2
+    check_reduced_coding(again)
     assert validate_strongly_markov(again, radius=5).ok
 
 

@@ -8,10 +8,11 @@ Claims covered:
     - Gibbs chain weights, shift invariance, total mass
     - preimage sums against a brute-force oracle; decay on subcritical parts
     - telescoping defect of truncated potentials is finite and non-increasing;
-      codings whose paths cancel rejected
+      the sweep defaults to depths 1..K+1 and a k's defect does not depend on
+      the other ks swept; codings whose paths cancel rejected
     - the potential read off the increments table equals the dist-based
       construction it replaced, for every depth 1..6, on roses, twisted
-      roses, the theta graph, the tail-cycle and dead-end codings and random
+      roses, the subdivided rose, the tail-cycle and dead-end codings and random
       marked metrics of rank 2 and 3
     - at the default depth K+1 (K the increment window) the potential is
       exact: the growth rate of a marked unit rose is log 3, the Birkhoff
@@ -32,7 +33,6 @@ from lsrigid.coding import scc_decompose
 from lsrigid.errors import ValidationError
 from lsrigid.thermo import (
     check_rpf_sums,
-    constant_potential,
     gibbs_cylinder_weight,
     potential_from_metric,
     pressure,
@@ -66,7 +66,8 @@ def test_potential_twisted_rose_has_depth(free2):
 
 
 def test_pressure_examples(free2, comp2, unit_rose2):
-    pot1 = constant_potential(free2)
+    # the unit rose's potential is identically 1: its pressure is log 3 - v
+    pot1 = potential_from_metric(free2, unit_rose2)
     assert abs(pressure(comp2, pot1, 0.0).pressure - math.log(3)) < 1e-12
     assert abs(pressure(comp2, pot1, math.log(3)).pressure) < 1e-12
     pot_unit = potential_from_metric(free2, unit_rose2, k=2)
@@ -260,6 +261,18 @@ def test_telescoping_sweep(free2):
     assert clean.defects[1] == 0 and clean.defects[2] == 0
 
 
+def test_telescoping_sweep_depths(free2):
+    graph = _marked_unit_rose({"a": "aba", "b": "ba"})  # window K = 2
+    alone = sweep_telescoping(free2, graph, ks=(1,), n_steps=30, n_paths=20, seed=4)
+    swept = sweep_telescoping(free2, graph, ks=(1, 2, 3), n_steps=30, n_paths=20, seed=4)
+    assert alone.defects[1] == swept.defects[1]
+    default = sweep_telescoping(free2, graph, n_steps=30, n_paths=20, seed=4)
+    assert default.defects == swept.defects
+    # a k past K+1 is measured at K+1, where the potential is exact
+    deep = sweep_telescoping(free2, graph, ks=(3, 10), n_steps=30, n_paths=20, seed=4)
+    assert deep.defects == {3: swept.defects[3], 10: swept.defects[3]}
+
+
 def test_telescoping_sweep_rejects_cancelling_coding(unit_rose2):
     # the backtracking edge a -> A spells aA, which is not a reduced word
     with pytest.raises(ValidationError):
@@ -307,9 +320,9 @@ def _marked_unit_rose(spec):
     return treemetric.marked_rose([1, 1], words.parse_substitution(spec, 2))
 
 
-def test_potential_matches_dist_reference(free2, unit_rose2, rose12, twisted, theta_graph):
+def test_potential_matches_dist_reference(free2, unit_rose2, rose12, twisted, subdivided_rose):
     aba = _marked_unit_rose({"a": "aba", "b": "ba"})
-    for metric in (unit_rose2, rose12, twisted, treemetric.as_float(twisted), aba, theta_graph):
+    for metric in (unit_rose2, rose12, twisted, treemetric.as_float(twisted), aba, subdivided_rose):
         _assert_matches_reference(free2, metric)
     _assert_matches_reference(fixtures.coding_with_tail_cycle(2), unit_rose2)
     _assert_matches_reference(fixtures.coding_with_tail_cycle(2), twisted)
@@ -367,8 +380,8 @@ def _tail_conflicts(ms, metric, n_paths=60, n_steps=24, seed=0):
     return conflicts
 
 
-def test_defect_is_a_tail_term(free2, twisted, theta_graph):
-    for metric in (twisted, _marked_unit_rose({"a": "aba", "b": "ba"}), theta_graph):
+def test_defect_is_a_tail_term(free2, twisted, subdivided_rose):
+    for metric in (twisted, _marked_unit_rose({"a": "aba", "b": "ba"}), subdivided_rose):
         assert _tail_conflicts(free2, metric) == 0, metric.tag
     for seed in range(10):
         metric = rigidity.random_marked_metric(np.random.default_rng([7, seed]), 2)

@@ -1,21 +1,27 @@
 """Marked metric graphs.
 
 Claims covered:
-    - distances agree with an independent substitute-and-tighten oracle
-    - Gromov products and the zero-slack four-point condition on trees
+    - distances agree with an independent substitute-and-tighten oracle, on
+      roses, the subdivided rose, the theta graph, the barbell and the
+      twisted rose
+    - Gromov products (a reference formula kept here) and the zero-slack
+      four-point condition on trees
     - translation lengths: cyclic tightening vs the iterative-quotient oracle
-    - the translation-length formula dist - 2(x, x^-1) is exact on trees
+      and vs the reference formula dist - 2(x, x^-1), exact on trees
+    - the theta graph's three circles and the barbell's bridge give the
+      expected lengths
     - marking validation catches broken and non-injective markings
     - folding accepts exactly the markings that are isomorphisms: it rejects
       non-surjective and non-injective markings, accepts every battery draw
       and dangling trees, and agrees with the short-word kernel oracle
     - graphs of rank 8 build (the ball check could not reach them)
-    - the increment window is 0 on rose12 and the theta graph and 1 on the
+    - the increment window is 0 on rose12 and the subdivided rose and 1 on the
       twisted rose, summed increments give every distance up to length 6,
       and a window search past its cap exits with code 3
     - ball counts equal the count of reduced closed edge paths at the
-      basepoint on rose12, the theta graph, the twisted rose (rational, float
-      and as a bare oracle) and random marked metrics of rank 2 and 3
+      basepoint on rose12, the subdivided rose, the theta graph, the barbell,
+      the twisted rose (rational, float and as a bare oracle) and random
+      marked metrics of rank 2 and 3
     - JSON round trips for roses, twisted roses and general graphs
 """
 
@@ -29,18 +35,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lsrigid import psmeasure, rigidity, treemetric, words
-from lsrigid.errors import BelowThresholdError, ResourceCapError, ValidationError
-from lsrigid.treemetric import (
-    MetricGraph,
-    ball_counts,
-    dilation,
-    gromov_product,
-    marked_rose,
-    rose,
-    tl_via_gromov,
-    translation_length,
-    word_metric,
-)
+from lsrigid.errors import ResourceCapError, ValidationError
+from lsrigid.treemetric import MetricGraph, ball_counts, marked_rose, rose, word_metric
 from lsrigid.words import ConjClass, Word
 
 
@@ -58,6 +54,16 @@ def _oracle_dist(graph: MetricGraph, w: Word):
     return sum(graph.edges[abs(e) - 1].length for e in path)
 
 
+def gromov_product(x: Word, y: Word, metric):
+    """(x, y) at the identity: half of dist(x) + dist(y) - dist(x^-1 y)."""
+    return (metric.dist(x) + metric.dist(y) - metric.dist((~x) * y)) / 2
+
+
+def tl_via_gromov(x: Word, metric):
+    """dist(x) - 2 (x, x^-1): the translation length of x, on trees."""
+    return metric.dist(x) - 2 * gromov_product(x, ~x, metric)
+
+
 def _random_word(rng, rank, max_len):
     letters = []
     alphabet = [i for i in range(1, rank + 1)] + [-i for i in range(1, rank + 1)]
@@ -73,17 +79,17 @@ def test_dist_examples(rose12):
     assert rose12.dist(Word.from_str("aBa", 2)) == 4
 
 
-def test_dist_matches_oracle(rose12, theta_graph, twisted):
+def test_dist_matches_oracle(rose12, subdivided_rose, theta, barbell, twisted):
     rng = random.Random(7)
-    for graph in (rose12, theta_graph, twisted):
+    for graph in (rose12, subdivided_rose, theta, barbell, twisted):
         for _ in range(120):
             w = _random_word(rng, 2, 8)
             assert graph.dist(w) == _oracle_dist(graph, w)
 
 
-def test_dist_symmetric(rose12, theta_graph):
+def test_dist_symmetric(rose12, subdivided_rose):
     rng = random.Random(3)
-    for graph in (rose12, theta_graph):
+    for graph in (rose12, subdivided_rose):
         for _ in range(60):
             w = _random_word(rng, 2, 8)
             assert graph.dist(w) == graph.dist(~w)
@@ -97,10 +103,10 @@ def test_gromov_product_examples(unit_rose2):
     assert gromov_product(x, x, unit_rose2) == unit_rose2.dist(x)
 
 
-def test_four_point_condition_exact(rose12, theta_graph, twisted):
+def test_four_point_condition_exact(rose12, subdivided_rose, twisted):
     # trees have zero hyperbolicity slack, checked in exact rationals
     rng = random.Random(11)
-    for graph in (rose12, theta_graph, twisted):
+    for graph in (rose12, subdivided_rose, twisted):
         for _ in range(80):
             x, y, z = (_random_word(rng, 2, 8) for _ in range(3))
             xy = gromov_product(x, y, graph)
@@ -110,26 +116,26 @@ def test_four_point_condition_exact(rose12, theta_graph, twisted):
 
 
 def test_translation_length_examples(rose12, unit_rose2):
-    assert translation_length(ConjClass.from_str("a", 2), rose12) == 1
-    assert translation_length(ConjClass.from_str("abAB", 2), unit_rose2) == 4
-    assert translation_length(words.cyclic_reduce(words.identity(2)), rose12) == 0
+    assert rose12.translation_length(ConjClass.from_str("a", 2)) == 1
+    assert unit_rose2.translation_length(ConjClass.from_str("abAB", 2)) == 4
+    assert rose12.translation_length(words.cyclic_reduce(words.identity(2))) == 0
 
 
 def test_translation_length_unit_rose_is_cyclic_length(unit_rose2):
     for c in words.enumerate_classes(2, 4):
-        assert translation_length(c, unit_rose2) == len(c)
+        assert unit_rose2.translation_length(c) == len(c)
 
 
-def test_translation_length_vs_iterative_quotient(rose12, theta_graph, twisted):
+def test_translation_length_vs_iterative_quotient(rose12, subdivided_rose, twisted):
     # dist(x^64) - dist(x^32) equals 32 * ell exactly on a tree; the plain
     # quotient dist(x^32)/32 converges with the conjugation offset
     rng = random.Random(5)
-    for graph in (rose12, theta_graph, twisted):
+    for graph in (rose12, subdivided_rose, twisted):
         for _ in range(25):
             w = _random_word(rng, 2, 6)
             if w.is_identity():
                 continue
-            ell = translation_length(words.cyclic_reduce(w), graph)
+            ell = graph.translation_length(words.cyclic_reduce(w))
             assert graph.dist(w**64) - graph.dist(w**32) == 32 * ell
             quotient = graph.dist(w**32) / 32
             assert abs(quotient - ell) <= graph.dist(w) / 16
@@ -142,9 +148,9 @@ def test_power_scaling(rose12):
         if w.is_identity():
             continue
         c = words.cyclic_reduce(w)
-        base = translation_length(c, rose12)
+        base = rose12.translation_length(c)
         for n in range(1, 6):
-            assert translation_length(c.power(n), rose12) == n * base
+            assert rose12.translation_length(c.power(n)) == n * base
 
 
 def test_tl_via_gromov_examples(unit_rose2):
@@ -153,35 +159,14 @@ def test_tl_via_gromov_examples(unit_rose2):
     assert tl_via_gromov(Word.from_str("a", 2), unit_rose2) == 1
 
 
-def test_tl_via_gromov_exact_on_trees(rose12, theta_graph, twisted):
+def test_tl_via_gromov_exact_on_trees(rose12, subdivided_rose, theta, barbell, twisted):
     rng = random.Random(13)
-    for graph in (rose12, theta_graph, twisted):
+    for graph in (rose12, subdivided_rose, theta, barbell, twisted):
         for _ in range(60):
             w = _random_word(rng, 2, 8)
             if w.is_identity():
                 continue
-            assert tl_via_gromov(w, graph) == translation_length(words.cyclic_reduce(w), graph)
-
-
-def test_tl_via_gromov_threshold(unit_rose2):
-    with pytest.raises(BelowThresholdError):
-        tl_via_gromov(words.identity(2), unit_rose2, threshold=Fraction(1, 2))
-
-
-def test_dilation(rose12, unit_rose2):
-    classes = words.enumerate_classes(2, 2)
-    l12 = lambda c: translation_length(c, rose12)
-    l11 = lambda c: translation_length(c, unit_rose2)
-    assert dilation(l12, l12, classes) == 1
-    rose22 = rose([2, 2])
-    l22 = lambda c: translation_length(c, rose22)
-    assert dilation(l22, l11, words.enumerate_classes(2, 4)) == 2
-    two = dilation(l12, l11, [ConjClass.from_str("a", 2), ConjClass.from_str("b", 2)])
-    assert two == 2
-    with pytest.raises(ZeroDivisionError):
-        dilation(l12, lambda c: 0, classes[:1])
-    with pytest.raises(ValueError):
-        dilation(l12, l11, [])
+            assert tl_via_gromov(w, graph) == graph.translation_length(words.cyclic_reduce(w))
 
 
 def test_rational_vs_float_mode(rose12):
@@ -192,11 +177,20 @@ def test_rational_vs_float_mode(rose12):
     assert abs(float(rose12.dist(w)) - f.dist(w)) < 1e-12
 
 
-def test_theta_graph_distances(theta_graph):
+def test_subdivided_rose_distances(subdivided_rose):
     # b is marked by the two-edge cycle of length 2, a by the unit loop
-    assert theta_graph.dist(Word.from_str("b", 2)) == 2
-    assert theta_graph.dist(Word.from_str("ab", 2)) == 3
-    assert translation_length(ConjClass.from_str("ab", 2), theta_graph) == 3
+    assert subdivided_rose.dist(Word.from_str("b", 2)) == 2
+    assert subdivided_rose.dist(Word.from_str("ab", 2)) == 3
+    assert subdivided_rose.translation_length(ConjClass.from_str("ab", 2)) == 3
+
+
+def test_theta_and_barbell_lengths(theta, barbell):
+    ell = lambda graph, c: graph.translation_length(ConjClass.from_str(c, 2))
+    # the theta graph's three embedded circles p-q, p-r, q-r
+    assert (ell(theta, "a"), ell(theta, "b"), ell(theta, "aB")) == (Fraction(3, 2), Fraction(5, 2), 2)
+    # the barbell's b crosses the bridge q twice, its loop r not at all
+    assert barbell.dist(Word.from_str("b", 2)) == Fraction(5, 2)
+    assert (ell(barbell, "a"), ell(barbell, "b"), ell(barbell, "ab")) == (1, Fraction(3, 2), Fraction(7, 2))
 
 
 MARKING_BASE = {
@@ -264,10 +258,10 @@ def test_folding_rejects_non_isomorphisms(spec):
     assert info.value.exit_code == 2
 
 
-def test_folding_accepts_isomorphisms(theta_graph, twisted):
+def test_folding_accepts_isomorphisms(subdivided_rose, twisted):
     base = treemetric.graph_from_json(MARKING_BASE)
     assert base.dist(Word.from_str("b", 2)) == 2
-    assert theta_graph.dist(Word.from_str("b", 2)) == 2
+    assert subdivided_rose.dist(Word.from_str("b", 2)) == 2
     assert twisted.dist(Word.from_str("a", 2)) == 2
     # basepoint on a bridge off the core: the marking paths cross it twice
     bridged = treemetric.graph_from_json(
@@ -284,7 +278,7 @@ def test_folding_accepts_isomorphisms(theta_graph, twisted):
         }
     )
     assert bridged.dist(Word.from_str("a", 2)) == 3
-    assert translation_length(ConjClass.from_str("ab", 2), bridged) == 3
+    assert bridged.translation_length(ConjClass.from_str("ab", 2)) == 3
     # a dangling edge the marking never reaches, and a marking path that backtracks
     dangling = json.loads(json.dumps(MARKING_BASE))
     dangling["vertices"].append("x")
@@ -333,13 +327,13 @@ def test_rank8_graphs_build():
     assert twisted8.dist(Word.from_str("aB", 8)) == 1
 
 
-def test_json_round_trip(theta_graph, tmp_path):
-    path = tmp_path / "theta.json"
-    path.write_text(json.dumps(theta_graph.to_json()))
+def test_json_round_trip(subdivided_rose, tmp_path):
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(subdivided_rose.to_json()))
     again = treemetric.load_graph(path)
     for s in ("ab", "aB", "bbA"):
         w = Word.from_str(s, 2)
-        assert again.dist(w) == theta_graph.dist(w)
+        assert again.dist(w) == subdivided_rose.dist(w)
 
 
 def test_rose_shorthand(tmp_path):
@@ -382,9 +376,9 @@ def test_ball_counts_additive_vs_enumeration(rose12):
     assert ball_counts(rose12, radii) == brute == _brute_ball_counts(rose12, radii)
 
 
-def test_ball_counts_match_edge_paths(rose12, theta_graph, twisted):
+def test_ball_counts_match_edge_paths(rose12, subdivided_rose, theta, barbell, twisted):
     radii = [Fraction(k, 2) for k in range(0, 13)]
-    for graph in (rose12, theta_graph, twisted, treemetric.as_float(twisted)):
+    for graph in (rose12, subdivided_rose, theta, barbell, twisted, treemetric.as_float(twisted)):
         assert ball_counts(graph, radii) == _brute_ball_counts(graph, radii)
     # an oracle that declares its window runs the same programme through dist
     oracle = treemetric.MetricOracle(dist=twisted.dist, rank=2, window=1)
@@ -408,9 +402,9 @@ def _windowed_dist(inc, w):
     return total
 
 
-def test_window_increments(rose12, theta_graph, twisted):
+def test_window_increments(rose12, subdivided_rose, twisted):
     assert treemetric.window_increments(rose12).window == 0
-    assert treemetric.window_increments(theta_graph).window == 0
+    assert treemetric.window_increments(subdivided_rose).window == 0
     assert treemetric.window_increments(word_metric(26)).window == 0
     inc = treemetric.window_increments(twisted)
     assert inc.window == 1
@@ -463,11 +457,11 @@ def test_window_increments_left_cancellation():
             assert _windowed_dist(inc, w) == graph.dist(w)
 
 
-def test_prefix_reach_covers_left_cancellation(theta_graph, twisted):
+def test_prefix_reach_covers_left_cancellation(subdivided_rose, twisted):
     """reach(v_1, T(v)) bounds how far any left factor u cancels into v's
     tight path T(v): the common prefix of T(u^-1) and T(v), brute force over
     |u| <= 4."""
-    for graph in (theta_graph, twisted, _substituted_rose({"a": "aab", "b": "Bab"})):
+    for graph in (subdivided_rose, twisted, _substituted_rose({"a": "aab", "b": "Bab"})):
         reach = treemetric._prefix_reach(graph)
         tight = {w.letters: graph._tight_path(w) for w in words.enumerate_ball(2, 4)}
         for v in (w for w in tight if 1 <= len(w) <= 3):

@@ -1,7 +1,9 @@
 """Free-group arithmetic.
 
 Claims covered:
-    - reduction cancels inverse pairs and is idempotent
+    - reduction cancels inverse pairs and is idempotent; a letter outside the
+      rank is refused, also when it would cancel
+    - letters are ordered a < A < b < B < ... for every canonical choice
     - cyclic reduction is conjugation invariant with canonical rotations
     - sphere and class enumerations match independent brute-force oracles
     - resource guards trip before oversized enumerations
@@ -54,6 +56,8 @@ def test_reduce_rejects_out_of_range():
         reduce([3], 2)
     with pytest.raises(ValueError):
         reduce([0], 2)
+    with pytest.raises(ValueError):
+        Word.from_str("cC", 2)
 
 
 def test_cyclic_reduce_examples():
@@ -100,6 +104,7 @@ def test_enumerate_classes_examples():
     assert len(words.enumerate_classes(2, 1)) == 4
     assert len(words.enumerate_classes(2, 1, identify_inverse=True)) == 2
     classes2 = words.enumerate_classes(2, 2)
+    assert [str(c) for c in classes2[:4]] == ["a", "A", "b", "B"]
     assert {c.letters for c in classes2} == _oracle_classes(2, 2, False)
     # [ab] and [ba] collapse to one canonical form
     forms = [str(c) for c in classes2]
