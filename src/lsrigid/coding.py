@@ -64,6 +64,8 @@ class MarkovStructure:
             if len(targets) != len(letters):
                 raise ValidationError("succ/labels length mismatch")
             for j, l in zip(targets, letters):
+                if (i, j) in self._label_map:
+                    raise ValidationError(f"two edges {self.states[i]} -> {self.states[j]}")
                 self._label_map[(i, j)] = l
         seen = self.reachable([self.initial_index])
         if len(seen) != len(self.states):

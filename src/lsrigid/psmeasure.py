@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from itertools import accumulate
 from typing import Sequence
@@ -32,6 +33,8 @@ from .treemetric import Increments, Metric, window_increments
 from .words import Word, enumerate_ball
 
 DEFAULT_BALL_CAP = 400_000
+RAY_CHUNK = 1 << 14  # uniforms drawn at once by sample_ray
+_NO_EDGE = 127  # RaySample.word_letters: no edge joins the two states (labels are |l| <= 26)
 
 
 @dataclass(frozen=True)
@@ -286,12 +289,15 @@ class RaySample:
         return len(self.states) - 1
 
     def word_letters(self) -> tuple[int, ...]:
-        letters = []
-        for i, j in zip(self.indices, self.indices[1:]):
-            l = self.structure.label_of(int(i), int(j))
-            if l:
-                letters.append(l)
-        return tuple(letters)
+        """The labels along the ray, identity labels dropped."""
+        aug = self.structure
+        table = np.full((aug.n_states, aug.n_states), _NO_EDGE, dtype=np.int8)
+        for i, (targets, labels) in enumerate(zip(aug.succ, aug.labels)):
+            table[i, list(targets)] = labels
+        steps = table[self.indices[:-1], self.indices[1:]]
+        if (steps == _NO_EDGE).any():
+            raise ValidationError("the ray takes a step that is not an edge of the coding")
+        return tuple(steps[steps != 0].tolist())
 
 
 def entry_weight_table(
@@ -339,24 +345,6 @@ def entry_weight_table(
     return table
 
 
-class _UniformStream:
-    """Reproducible stream of uniforms from a counter-based generator."""
-
-    def __init__(self, seed: int, batch: int = 4096):
-        self._rng = np.random.Generator(np.random.Philox(key=seed))
-        self._batch = batch
-        self._buf = self._rng.random(batch)
-        self._pos = 0
-
-    def next(self) -> float:
-        if self._pos == len(self._buf):
-            self._buf = self._rng.random(self._batch)
-            self._pos = 0
-        x = self._buf[self._pos]
-        self._pos += 1
-        return float(x)
-
-
 def sample_ray(
     aug: AugmentedStructure,
     transfer_by_component: dict[Component, TransferData],
@@ -368,15 +356,24 @@ def sample_ray(
 
     The entry prefix is drawn proportionally to its cylinder-mass weight; the
     continuation follows the Gibbs chain of the entered component, starting
-    from the stationary distribution conditioned on the entry state.
+    from the stationary distribution conditioned on the entry state.  The
+    uniforms come from ``Philox(key=seed)``: two for the entry prefix and the
+    first block, then one per step, drawn RAY_CHUNK at a time.  A step
+    bisects the current block's cumulative move weights at u times their
+    total, leaving out the last weight so that a product rounded up to the
+    total picks the last move.  Those are the float64 operations and
+    comparisons of one ``np.searchsorted(..., side="right")`` per step, so
+    the ray is bit-identical to the step-by-step walk.  Memory is one chunk
+    of states plus the chain; time is linear in the length, whatever the
+    number of blocks.
     """
-    stream = _UniformStream(seed)
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    u_entry, u_block = rng.random(2)
     weights = np.array([w for _, w in entry_table], dtype=float)
     if weights.sum() <= 0:
         raise ValidationError("entry table has no positive weight")
     cum = np.cumsum(weights / weights.sum())
-    u = stream.next()
-    choice = int(np.searchsorted(cum, u, side="right"))
+    choice = int(np.searchsorted(cum, u_entry, side="right"))
     prefix = entry_table[min(choice, len(entry_table) - 1)][0]
     prefix_idx = list(aug.resolve(prefix))
     entry = len(prefix_idx) - 1
@@ -394,21 +391,29 @@ def sample_ray(
     starts = [bi for bi, b in enumerate(bs.blocks) if b[0] == entry_state]
     mass = np.array([chain.pi[bi] for bi in starts])
     cum_b = np.cumsum(mass / mass.sum())
-    b = starts[min(int(np.searchsorted(cum_b, stream.next(), side="right")), len(starts) - 1)]
-    path = prefix_idx + list(bs.blocks[b][1:])
-    if len(path) > length + 1:
-        raise ValueError(f"length {length} too short for entry prefix plus one block")
-    cums = [np.cumsum(p) for p in chain.probs]
-    while len(path) < length + 1:
-        row = cums[b]
-        pick = int(np.searchsorted(row, stream.next() * row[-1], side="right"))
-        pick = min(pick, len(row) - 1)
-        b = int(chain.targets[b][pick])
-        path.append(bs.blocks[b][-1])
-    idx = np.array(path, dtype=np.int64)
+    b = starts[min(int(np.searchsorted(cum_b, u_block, side="right")), len(starts) - 1)]
+    head = prefix_idx + list(bs.blocks[b][1:])
+    if len(head) > length + 1:
+        raise ValidationError(
+            f"ray length {length} is below {len(head) - 1}, the steps of the entry prefix and first block"
+        )
+    idx = np.empty(length + 1, dtype=np.int64)
+    idx[: len(head)] = head
+    rows = [  # per block: its cumulative move weights but the last, their total, its successors
+        (c[:-1].tolist(), float(c[-1]), targets.tolist())
+        for c, targets in zip(map(np.cumsum, chain.probs), chain.targets)
+    ]
+    last_state = [block[-1] for block in bs.blocks]
+    for pos in range(len(head), length + 1, RAY_CHUNK):
+        walk = []
+        for u in rng.random(min(RAY_CHUNK, length + 1 - pos)).tolist():
+            cut, total, targets = rows[b]
+            b = targets[bisect_right(cut, u * total)]
+            walk.append(last_state[b])
+        idx[pos : pos + len(walk)] = walk
     return RaySample(
         structure=aug,
-        states=tuple(aug.states[i] for i in path),
+        states=tuple(map(aug.states.__getitem__, idx.tolist())),
         indices=idx,
         entry_index=entry,
         component=component,

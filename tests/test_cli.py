@@ -11,6 +11,10 @@ Claims covered:
       with the validation exit code
     - ``coding validate`` proves the coding exactly: it prints OK, or exits 2
       with the state path of the first bad step, and takes no --radius
+    - a structure with two edges joining one pair of states is refused with
+      the validation exit code
+    - a ray length below the entry prefix plus one block (``ps sample
+      --length 0`` or ``-5``, a config ``ray_length`` of 0) exits 2
     - exit codes: 2 for a non-isomorphic marking (tagged with its stage), 3
       for a ball over the resource cap and for a graph whose increment window
       passes the cap (``thermo growth``), 4 for a ray too short for the rigid
@@ -137,6 +141,33 @@ def test_coding_validate(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["coding", "validate", "--radius", "8"])
     assert exc.value.code == 2
+
+
+def test_coding_validate_rejects_parallel_edges(tmp_path, capsys):
+    edges = [("*", "a", "a"), ("a", "a", "a"), ("a", "a", "b")]
+    structure = tmp_path / "parallel.json"
+    structure.write_text(json.dumps({
+        "rank": 2, "states": ["*", "a"],
+        "edges": [{"from": src, "to": dst, "label": label} for src, dst, label in edges],
+    }))
+    assert cli.main(["coding", "validate", "--structure", str(structure)]) == 2
+    assert "two edges a -> a" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("length", ["0", "-5"])
+def test_ps_sample_rejects_short_length(tmp_path, capsys, length):
+    graph = tmp_path / "rose.json"
+    graph.write_text(json.dumps({"rose": [1, 1]}))
+    argv = ["ps", "sample", "--graph", str(graph), "--length", length, "--out", str(tmp_path / "ray.txt")]
+    assert cli.main(argv) == 2
+    assert f"ray length {length} is below 1" in capsys.readouterr().err
+
+
+def test_config_ray_length_zero_rejected(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"ray_length": 0}))
+    assert cli.main(["pipeline", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("error: [ray] ray length 0 is below 1")
 
 
 def test_exit_code_validation(tmp_path, capsys):

@@ -173,27 +173,38 @@ def test_reduced_coding_proof_counterexamples(make, counterexample, message):
 
 
 def _mutant(rng, base):
-    """The coding with one or two edges relabelled, retargeted, deleted or added."""
+    """The coding with one or two edges relabelled, retargeted, deleted or
+    added.  A retargeted or added edge joins a pair of states that no edge
+    joins yet: a structure has one edge per pair."""
     edges = [(i, j, l) for i, ls in enumerate(base.labels) for j, l in zip(base.succ[i], ls)]
     letters = words.alphabet(base.rank)
     for _ in range(int(rng.integers(1, 3))):
         kind, k = int(rng.integers(4)), int(rng.integers(len(edges)))
         i, j, l = edges[k]
+        if kind == 3:
+            i, l = int(rng.integers(base.n_states)), letters[int(rng.integers(len(letters)))]
+        joined = {(a, b) for a, b, _ in edges}
+        unjoined = [t for t in range(1, base.n_states) if (i, t) not in joined]
         if kind == 0:
             edges[k] = (i, j, letters[int(rng.integers(len(letters)))])
-        elif kind == 1:
-            edges[k] = (i, int(rng.integers(1, base.n_states)), l)
+        elif kind == 1 and unjoined:
+            edges[k] = (i, unjoined[int(rng.integers(len(unjoined)))], l)
         elif kind == 2:
             del edges[k]
-        else:
-            edges.append((int(rng.integers(base.n_states)), int(rng.integers(1, base.n_states)),
-                          letters[int(rng.integers(len(letters)))]))
+        elif kind == 3 and unjoined:
+            edges.append((i, unjoined[int(rng.integers(len(unjoined)))], l))
     succ, labels = [[] for _ in base.states], [[] for _ in base.states]
     for i, j, l in sorted(edges):
         succ[i].append(j)
         labels[i].append(l)
     return coding.MarkovStructure(rank=base.rank, states=base.states, succ=tuple(map(tuple, succ)),
                                   labels=tuple(map(tuple, labels)))
+
+
+def test_parallel_edges_rejected():
+    # one label per (i, j): two loops at a would make paths(2) list (*, a, a) twice
+    with pytest.raises(ValidationError, match="two edges a -> a"):
+        coding.MarkovStructure(rank=1, states=("*", "a"), succ=((1,), (1, 1)), labels=((1,), (1, -1)))
 
 
 def test_reduced_coding_proof_agrees_with_ball_validation(free2):

@@ -15,6 +15,11 @@ Claims covered:
     - the entry table and the mass band compute Z_n once per call and give
       the per-prefix cylinder masses bit for bit
     - sampler: determinism, seed sensitivity, Gibbs statistics, entry table
+    - the chunked sampler equals the step-by-step reference state for state,
+      on eight graphs (two maximal components among them; one marked rose of
+      window 4 with 324 blocks), five seeds and lengths around the chunk size; a ray length below the entry prefix plus
+      one block is refused; ``word_letters`` equals the pairwise labels and
+      refuses a step that is not an edge
     - recurrence reports (depth < 1 rejected) and ray file round trips
 """
 
@@ -377,8 +382,9 @@ def test_ray_file_round_trip(aug2, comp2, td_unit, entry_table_unit, tmp_path):
     assert set(again.component.states) == set(ray.component.states)
 
 
-def test_sample_ray_multiple_maximal_components(unit_rose2):
-    # two disjoint copies of the free coding: the sampler picks one per seed
+def _doubled_rose(unit_rose2):
+    """Two disjoint copies of the free coding, each a maximal component: the
+    coding, the transfer data of both components and the entry table."""
     free = coding.build_free_group_coding(2)
     mirror_states = [s + s for s in free.states if s != "*"]
     edges = []
@@ -393,7 +399,12 @@ def test_sample_ray_multiple_maximal_components(unit_rose2):
     growth = thermo.solve_growth_rate(doubled, pot)
     assert len(growth.maximal_components) == 2
     tds = {c: thermo.pressure(c, pot, growth.v_star) for c in growth.maximal_components}
-    table = entry_weight_table(aug, unit_rose2, growth.v_star)
+    return aug, tds, entry_weight_table(aug, unit_rose2, growth.v_star)
+
+
+def test_sample_ray_multiple_maximal_components(unit_rose2):
+    # the sampler picks one of the two copies per seed
+    aug, tds, table = _doubled_rose(unit_rose2)
     assert len(table) == 8
     seen = set()
     for seed in range(6):
@@ -402,3 +413,101 @@ def test_sample_ray_multiple_maximal_components(unit_rose2):
         comp_states = set(ray.component.states)
         assert set(ray.states[ray.entry_index:]) <= comp_states
     assert len(seen) == 2
+
+
+class _UniformStream:
+    """Uniforms of Philox(key=seed), read one at a time from 4096-batches."""
+
+    def __init__(self, seed: int, batch: int = 4096):
+        self._rng = np.random.Generator(np.random.Philox(key=seed))
+        self._batch = batch
+        self._buf = self._rng.random(batch)
+        self._pos = 0
+
+    def next(self) -> float:
+        if self._pos == len(self._buf):
+            self._buf = self._rng.random(self._batch)
+            self._pos = 0
+        x = self._buf[self._pos]
+        self._pos += 1
+        return float(x)
+
+
+def _sample_ray_step_by_step(aug, transfer_by_component, entry_table, length, seed):
+    """The reference sampler: one uniform and one searchsorted per step."""
+    stream = _UniformStream(seed)
+    weights = np.array([w for _, w in entry_table], dtype=float)
+    cum = np.cumsum(weights / weights.sum())
+    choice = int(np.searchsorted(cum, stream.next(), side="right"))
+    prefix_idx = list(aug.resolve(entry_table[min(choice, len(entry_table) - 1)][0]))
+    td = next(d for c, d in transfer_by_component.items() if prefix_idx[-1] in c.indices)
+    chain = td.chain()
+    bs = td.shift
+    starts = [bi for bi, b in enumerate(bs.blocks) if b[0] == prefix_idx[-1]]
+    mass = np.array([chain.pi[bi] for bi in starts])
+    cum_b = np.cumsum(mass / mass.sum())
+    b = starts[min(int(np.searchsorted(cum_b, stream.next(), side="right")), len(starts) - 1)]
+    path = prefix_idx + list(bs.blocks[b][1:])
+    if len(path) > length + 1:
+        raise ValueError(f"length {length} too short for entry prefix plus one block")
+    cums = [np.cumsum(p) for p in chain.probs]
+    while len(path) < length + 1:
+        row = cums[b]
+        pick = int(np.searchsorted(row, stream.next() * row[-1], side="right"))
+        pick = min(pick, len(row) - 1)
+        b = int(chain.targets[b][pick])
+        path.append(bs.blocks[b][-1])
+    return path
+
+
+def _pipeline_inputs(request, name):
+    """(coding, transfer data, entry table) of the pipeline on the named graph."""
+    if name == "doubled_rose":
+        return _doubled_rose(request.getfixturevalue("unit_rose2"))
+    if name == "rose123":
+        graph = treemetric.rose([1, 2, 3])
+    elif name == "wide_window":  # {a: abbbb, b: b}: the potential reads 5 letters
+        graph = treemetric.marked_rose([1, 1], {1: Word.from_str("abbbb", 2), 2: Word.from_str("b", 2)})
+    else:
+        graph = request.getfixturevalue(name)
+    ms = coding.build_free_group_coding(graph.rank)
+    pot = thermo.potential_from_metric(ms, graph)
+    growth = thermo.solve_growth_rate(ms, pot)
+    tds = {c: thermo.pressure(c, pot, growth.v_star) for c in growth.maximal_components}
+    aug = coding.augment(ms)
+    return aug, tds, entry_weight_table(aug, graph, growth.v_star)
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["unit_rose2", "rose123", "twisted", "subdivided_rose", "theta", "barbell", "doubled_rose", "wide_window"],
+)
+def test_sample_ray_matches_step_by_step_reference(request, name):
+    aug, tds, table = _pipeline_inputs(request, name)
+    if name == "wide_window":
+        assert [td.shift.n_blocks for td in tds.values()] == [324]
+    c = psmeasure.RAY_CHUNK
+    for seed in range(5):
+        # the reference ray of a length is the prefix of every longer one
+        reference = _sample_ray_step_by_step(aug, tds, table, 3 * c + 7, seed)
+        shortest = 0
+        while True:
+            try:
+                sample_ray(aug, tds, table, shortest, seed)
+                break
+            except ValidationError:
+                with pytest.raises(ValueError):
+                    _sample_ray_step_by_step(aug, tds, table, shortest, seed)
+                shortest += 1
+        for length in sorted({1, shortest, c - 1, c, c + 1, 3 * c + 7} - set(range(shortest))):
+            ray = sample_ray(aug, tds, table, length, seed)
+            assert ray.indices.tolist() == reference[: length + 1]
+            assert ray.states == tuple(aug.states[i] for i in reference[: length + 1])
+        letters = tuple(l for l in map(aug.label_of, reference, reference[1:]) if l)
+        assert ray.word_letters() == letters
+
+
+def test_word_letters_rejects_a_step_off_the_coding(aug2, comp2):
+    ray = _given_ray(aug2, ("*", "a", "A"), comp2)
+    with pytest.raises(ValidationError, match="not an edge"):
+        ray.word_letters()
