@@ -364,9 +364,9 @@ def build_rigid_set(
 
 def witness_deviation(entry: RigidSetEntry, graph: MetricGraph):
     """|ell(witness2) - ell(witness1) - M * ell(class)| for one metric, exactly."""
-    l1 = graph.translation_length(entry.witness_class1.representative())
-    l2 = graph.translation_length(entry.witness_class2.representative())
-    lc = graph.translation_length(entry.cls.representative())
+    l1 = graph.translation_length(entry.witness_class1)
+    l2 = graph.translation_length(entry.witness_class2)
+    lc = graph.translation_length(entry.cls)
     return abs(l2 - l1 - entry.power * lc)
 
 
@@ -480,16 +480,18 @@ def verify_separation(
 ) -> SeparationVerdict:
     """AGREE iff the two metrics share every witness length within tol.
 
-    tol defaults to exact equality in rational mode, 1e-9 otherwise.
+    tol defaults to exact equality in rational mode, 1e-9 otherwise.  The set
+    and both metrics must have one rank (ValidationError otherwise).
     """
     if t1.rank != t2.rank:
         raise ValidationError("metrics have different rank")
+    if rigid.rank != t1.rank:
+        raise ValidationError(f"rigid set has rank {rigid.rank}, the metrics rank {t1.rank}")
     if tol is None:
         tol = 0 if (t1.rational and t2.rational) else 1e-9
     max_diff = 0.0
     for c in rigid.witness_classes():
-        rep = c.representative()
-        diff = abs(t1.translation_length(rep) - t2.translation_length(rep))
+        diff = abs(t1.translation_length(c) - t2.translation_length(c))
         if diff > tol:
             return SeparationVerdict(separated=True, first_separating=c, max_diff=float(diff))
         max_diff = max(max_diff, float(diff))

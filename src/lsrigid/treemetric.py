@@ -5,7 +5,10 @@ with a marking: for each basis generator, a closed edge path at the basepoint.
 The group acts on the universal cover (a simplicial tree); distances from the
 orbit of the basepoint and translation lengths are computed by tightening edge
 paths, which is exact.  Edge lengths given as ints, Fractions or strings are
-kept in exact rational arithmetic; floats switch the graph to binary64.
+kept in exact rational arithmetic: a tightened path is summed in integers, each
+edge length times D, the least common denominator of the lengths, and the sum
+comes back as a Fraction over D.  Floats switch the graph to binary64, summed
+edge by edge in path order.
 
 A marking is accepted iff it induces an isomorphism from the free group onto
 the fundamental group of the graph at the basepoint.  The test folds the
@@ -26,8 +29,11 @@ marked points of Outer Space and is how the test battery builds them.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
+import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -37,7 +43,6 @@ from .words import (
     ConjClass,
     Word,
     alphabet,
-    cyclic_reduce,
     enumerate_sphere,
     letter_to_char,
     parse_substitution,
@@ -75,33 +80,37 @@ class Edge:
 class DistanceWalker:
     """Incrementally tightened edge path from the basepoint.
 
-    push(letter) appends one marking path and keeps the invariant that the
+    push(letters) appends their marking paths and keeps the invariant that the
     stored path is tight (no backtracking), so ``dist`` is always the exact
-    tree distance from the basepoint to the current endpoint.
+    tree distance from the basepoint to the current endpoint.  The running
+    total adds and subtracts entries of the graph's signed length table: ints
+    over one denominator on a rational graph, floats in push order otherwise.
     """
 
     def __init__(self, graph: "MetricGraph"):
         self._graph = graph
         self._stack: list[int] = []
-        self._dist = 0 if graph.rational else 0.0
+        self._total = 0 if graph.rational else 0.0
 
-    def push(self, letter: int) -> None:
-        lengths = self._graph._edge_lengths
+    def push(self, letters: Sequence[int]) -> None:
+        lengths = self._graph._lengths
+        paths = self._graph._marking_paths
         stack = self._stack
-        for e in self._graph._marking_paths[letter]:
-            if stack and stack[-1] == -e:
-                stack.pop()
-                self._dist -= lengths[abs(e)]
-            else:
-                stack.append(e)
-                self._dist += lengths[abs(e)]
+        total = self._total
+        for letter in letters:
+            for e in paths[letter]:
+                if stack and stack[-1] == -e:
+                    stack.pop()
+                    total -= lengths[e]
+                else:
+                    stack.append(e)
+                    total += lengths[e]
+        self._total = total
 
     @property
     def dist(self):
-        return self._dist
-
-    def path(self) -> tuple[int, ...]:
-        return tuple(self._stack)
+        d = self._graph._denominator
+        return self._total if d is None else Fraction(self._total, d)
 
 
 @dataclass(frozen=True)
@@ -116,7 +125,9 @@ class MetricGraph:
     tag: str = "graph"
     # caches, excluded from equality
     _marking_paths: dict = field(default_factory=dict, repr=False, compare=False)
-    _edge_lengths: dict = field(default_factory=dict, repr=False, compare=False)
+    # signed edge -> length, times _denominator on a rational graph (None on a float one)
+    _lengths: dict = field(default_factory=dict, repr=False, compare=False)
+    _denominator: int | None = field(default=None, init=False, repr=False, compare=False)
     _increments: "Increments | None" = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -124,8 +135,13 @@ class MetricGraph:
         for i, path in enumerate(self.marking, start=1):
             self._marking_paths[i] = path
             self._marking_paths[-i] = tuple(-e for e in reversed(path))
-        for idx, e in enumerate(self.edges, start=1):
-            self._edge_lengths[idx] = e.length
+        lengths = [e.length for e in self.edges]
+        if all(isinstance(l, Fraction) for l in lengths):
+            d = math.lcm(*(l.denominator for l in lengths))
+            object.__setattr__(self, "_denominator", d)
+            lengths = [l.numerator * (d // l.denominator) for l in lengths]
+        for idx, l in enumerate(lengths, start=1):
+            self._lengths[idx] = self._lengths[-idx] = l
         self._validate_marking()
 
     # -- validation ---------------------------------------------------------
@@ -253,33 +269,59 @@ class MetricGraph:
 
     @property
     def rational(self) -> bool:
-        return all(isinstance(e.length, Fraction) for e in self.edges)
+        return self._denominator is not None
 
-    def _tight_path(self, w: Word) -> tuple[int, ...]:
-        walker = DistanceWalker(self)
-        for l in w.letters:
-            walker.push(l)
-        return walker.path()
+    def _length(self, edges: Sequence[int]) -> Fraction | float:
+        """Length of a signed edge path: an int sum over D, or floats added in
+        path order (``sum`` compensates float sums from Python 3.12 on)."""
+        core = map(self._lengths.__getitem__, edges)
+        if self._denominator is None:
+            return functools.reduce(operator.add, core, 0.0)
+        return Fraction(sum(core), self._denominator)
+
+    def _letters(self, x: Word | ConjClass) -> tuple[int, ...]:
+        if x.rank != self.rank:
+            raise ValidationError(f"a rank-{x.rank} word or class on the rank-{self.rank} graph {self.tag!r}")
+        return x.letters
+
+    def _tight_path(self, x: Word | ConjClass) -> list[int]:
+        """The tight edge path that the letters of x spell from the basepoint;
+        ``DistanceWalker`` without the running length."""
+        paths = self._marking_paths
+        stack: list[int] = []
+        for letter in self._letters(x):
+            for e in paths[letter]:
+                if stack and stack[-1] == -e:
+                    stack.pop()
+                else:
+                    stack.append(e)
+        return stack
 
     def dist(self, w: Word) -> Fraction | float:
         """d(basepoint, w . basepoint) in the universal cover."""
         walker = DistanceWalker(self)
-        for l in w.letters:
-            walker.push(l)
+        walker.push(self._letters(w))
         return walker.dist
 
     def translation_length(self, c: ConjClass | Word) -> Fraction | float:
-        if isinstance(c, Word):
-            c = cyclic_reduce(c)
-        path = list(self._tight_path(c.representative()))
+        """Length of the cyclically tight loop of ``c``, given by any representative.
+
+        The tight path of a representative is a closed tight path at the
+        basepoint.  Peeling the edges at its two ends that cancel each other
+        is its cyclic reduction: it leaves the one cyclically tight loop of
+        the conjugacy class, read from some point, and a rotation has the same
+        length.  So the letters are tightened as they are, with no cyclic
+        reduction of the word and no canonical rotation, and only the loop
+        is summed.  On a float graph it is summed from where this
+        representative enters it, so two conjugates can differ in the last
+        bits; a rational graph is exact.
+        """
+        path = self._tight_path(c)
         i, j = 0, len(path)
         while j - i >= 2 and path[i] == -path[j - 1]:
             i += 1
             j -= 1
-        total = 0 if self.rational else 0.0
-        for e in path[i:j]:
-            total += self._edge_lengths[abs(e)]
-        return total
+        return self._length(path[i:j])
 
     # -- serialisation ------------------------------------------------------
 
@@ -423,8 +465,7 @@ def _graph_increments(graph: MetricGraph) -> Increments:
         else:
             break
     window = next(k for k in itertools.count() if all(c == cuts[w[-k - 1 :]] for w, c in cuts.items()))
-    lengths = graph._edge_lengths
-    length = lambda path: sum(lengths[abs(e)] for e in path)
+    length = graph._length
     table = {w: length(tight[w[-1]]) - 2 * length(tight[w[-1]][:c]) for w, c in cuts.items() if len(w) <= window + 1}
     return Increments(window, tuple(letters), table)
 

@@ -24,6 +24,14 @@ def letter_to_char(letter: int) -> str:
     return ch if letter > 0 else ch.upper()
 
 
+_CHARS = {l: letter_to_char(l) for i in range(1, MAX_RANK + 1) for l in (i, -i)}
+
+
+def _spell(letters: Sequence[int]) -> str:
+    """The ASCII form of a letter sequence; "1" for the empty one."""
+    return "".join(map(_CHARS.__getitem__, letters)) or "1"
+
+
 def char_to_letter(ch: str) -> int:
     idx = _ALPHABET.index(ch.lower()) + 1
     return idx if ch.islower() else -idx
@@ -76,7 +84,7 @@ class Word:
         return len(self.letters)
 
     def __str__(self) -> str:
-        return "".join(letter_to_char(l) for l in self.letters) or "1"
+        return _spell(self.letters)
 
     def __repr__(self) -> str:
         return f"Word({self!s}, rank={self.rank})"
@@ -209,7 +217,7 @@ class ConjClass:
         return len(self.letters)
 
     def __str__(self) -> str:
-        return "".join(letter_to_char(l) for l in self.letters) or "1"
+        return _spell(self.letters)
 
     def __repr__(self) -> str:
         return f"ConjClass({self!s}, rank={self.rank})"

@@ -1,9 +1,10 @@
 """Shared session fixtures: codings, metrics (roses, the subdivided rose, the
-theta graph, the barbell, the twisted rose), growth data, the seed-7 ray."""
+theta graph, the barbell, the twisted rose), growth data, the seed-7 ray and
+its rigid set."""
 
 import pytest
 
-from lsrigid import coding, psmeasure, thermo, treemetric, words
+from lsrigid import coding, psmeasure, rigidity, thermo, treemetric, words
 
 
 @pytest.fixture(scope="session")
@@ -115,3 +116,10 @@ def entry_table_unit(aug2, unit_rose2, growth_unit):
 def ray7(aug2, comp2, td_unit, entry_table_unit):
     """The seed-7 ray of length 10^5 used across recurrence and rigidity tests."""
     return psmeasure.sample_ray(aug2, {comp2: td_unit}, entry_table_unit, 100_000, seed=7)
+
+
+@pytest.fixture(scope="session")
+def rigid7(ray7):
+    """The log-budget rigid set of the first five classes on the seed-7 ray."""
+    classes = words.enumerate_classes(2, 4, identify_inverse=True)[:5]
+    return rigidity.build_rigid_set(ray7, classes, "log", t_max=10_000)

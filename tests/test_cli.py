@@ -15,6 +15,8 @@ Claims covered:
       the validation exit code
     - a ray length below the entry prefix plus one block (``ps sample
       --length 0`` or ``-5``, a config ``ray_length`` of 0) exits 2
+    - ``rigid verify`` refuses a set whose rank is not the metrics' rank, in
+      either direction, with the validation exit code
     - exit codes: 2 for a non-isomorphic marking (tagged with its stage), 3
       for a ball over the resource cap and for a graph whose increment window
       passes the cap (``thermo growth``), 4 for a ray too short for the rigid
@@ -175,6 +177,32 @@ def test_exit_code_validation(tmp_path, capsys):
     config.write_text(json.dumps({"graph": {"rose": [1, 1], "substitution": {"a": "aa", "b": "b"}}}))
     assert cli.main(["pipeline", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err.startswith("error: [metric] ")
+
+
+def _rigid_verify(tmp_path, rigid_csv, *graphs):
+    args = ["rigid", "verify", "--set", str(rigid_csv)]
+    for i, graph in enumerate(graphs, start=1):
+        path = tmp_path / f"g{i}.json"
+        path.write_text(json.dumps(graph))
+        args += [f"--graph{i}", str(path)]
+    return cli.main(args)
+
+
+def test_rigid_verify_rank_2_set_against_rank_3_metrics(rigid7, tmp_path, capsys):
+    # the seed-7 set of the default config; it once printed "AGREE on all 10"
+    rigid7.to_csv(tmp_path / "E.csv")
+    assert _rigid_verify(tmp_path, tmp_path / "E.csv", {"rose": [1, 2, 3]}, {"rose": [1, 2, 5]}) == 2
+    assert capsys.readouterr().err == "error: rigid set has rank 2, the metrics rank 3\n"
+
+
+def test_rigid_verify_rank_3_set_against_rank_2_metrics(tmp_path, capsys):
+    # a witness with the letter c makes the set rank 3; it once ended in a KeyError
+    (tmp_path / "E.csv").write_text(
+        "class,M,N1,N2,witness1,witness2,ell_S(witness1),ell_S(witness2)\n"
+        "c,1,1,2,a,ac,1,2\n"
+    )
+    assert _rigid_verify(tmp_path, tmp_path / "E.csv", {"rose": [1, 2]}, {"rose": [1, 3]}) == 2
+    assert capsys.readouterr().err == "error: rigid set has rank 3, the metrics rank 2\n"
 
 
 def test_exit_code_resource_cap(tmp_path, capsys):

@@ -5,9 +5,11 @@ Claims covered:
     - the exact proof accepts the shipped coding of every rank and rejects
       doctored structures with the state path of the first bad step; ranks
       outside 2..26 are refused with the validation error
-    - on seeded mutants of the rank-2 coding the proof agrees with the
-      ball-by-ball validation, which reports geodesic violations and
-      bijection deficits with counterexamples
+    - on seeded mutants of the rank-2 coding and of the rank-2 last-two-letters
+      coding the proof agrees with the ball-by-ball validation, which reports
+      geodesic violations and bijection deficits with counterexamples; both
+      accept some mutants that differ from their base (the a -b-> ab edge of
+      the last-two-letters coding retargeted to bb is one)
     - augmentation adds the absorbing 0 state without changing images
     - the path enumerator and the reachability walk agree with brute force
     - component decomposition, exact spectral radii, word-maximality flags
@@ -207,22 +209,58 @@ def test_parallel_edges_rejected():
         coding.MarkovStructure(rank=1, states=("*", "a"), succ=((1,), (1, 1)), labels=((1,), (1, -1)))
 
 
+def _last_two_letters(rank=2):
+    """The coding whose states are *, the letters and the reduced two-letter
+    words, each state naming the last two letters read: a state's followers
+    depend only on its last letter."""
+    letters = words.alphabet(rank)
+    spell = words.letter_to_char
+    states = ("*", *map(spell, letters), *(spell(x) + spell(y) for x in letters for y in letters if y != -x))
+    index = {name: i for i, name in enumerate(states)}
+    succ, labels = [tuple(index[spell(x)] for x in letters)], [tuple(letters)]
+    for name in states[1:]:
+        moves = tuple(z for z in letters if z != -words.char_to_letter(name[-1]))
+        succ.append(tuple(index[(name + spell(z))[-2:]] for z in moves))
+        labels.append(moves)
+    return coding.MarkovStructure(rank=rank, states=states, succ=tuple(succ), labels=tuple(labels))
+
+
+def _edges(ms):
+    return ms.succ, ms.labels
+
+
+def test_last_two_letters_coding_retargeted():
+    base = _last_two_letters()
+    assert base.n_states == 17
+    # a -b-> ab retargeted to bb: bb has ab's followers, so the coding stays exact
+    a, ab, bb = base.index("a"), base.index("ab"), base.index("bb")
+    succ = tuple(tuple(bb if (i, j) == (a, ab) else j for j in js) for i, js in enumerate(base.succ))
+    moved = coding.MarkovStructure(rank=2, states=base.states, succ=succ, labels=base.labels)
+    assert _edges(moved) != _edges(base)
+    for ms in (base, moved):
+        check_reduced_coding(ms)
+        assert validate_strongly_markov(ms, radius=5).ok
+
+
 def test_reduced_coding_proof_agrees_with_ball_validation(free2):
     rng = np.random.default_rng(2024)
-    verdicts = []
-    for _ in range(400):
-        try:
-            ms = _mutant(rng, free2)
-        except ValidationError:  # a state became unreachable
-            continue
-        try:
-            check_reduced_coding(ms)
-            proved = True
-        except ValidationError:
-            proved = False
-        verdicts.append(proved)
-        assert proved == validate_strongly_markov(ms, radius=5).ok
-    assert len(verdicts) > 300 and 0 < sum(verdicts) < len(verdicts)
+    for base in (free2, _last_two_letters()):
+        verdicts, changed = [], 0  # changed: accepted mutants that differ from the base
+        for _ in range(400):
+            try:
+                ms = _mutant(rng, base)
+            except ValidationError:  # a state became unreachable
+                continue
+            try:
+                check_reduced_coding(ms)
+                proved = True
+            except ValidationError:
+                proved = False
+            verdicts.append(proved)
+            changed += proved and _edges(ms) != _edges(base)
+            assert proved == validate_strongly_markov(ms, radius=5).ok
+        assert len(verdicts) > 300 and 0 < sum(verdicts) < len(verdicts)
+    assert changed > 0
 
 
 def test_augment(free2, aug2):

@@ -27,12 +27,6 @@ from lsrigid.errors import ValidationError
 from lsrigid.rigidity import BUDGET_SLACK, RigidSet, _budget_feasible, parse_budget
 
 
-@pytest.fixture(scope="module")
-def rigid7(ray7):
-    classes = words.enumerate_classes(2, 4, identify_inverse=True)[:5]
-    return rigidity.build_rigid_set(ray7, classes, "log", t_max=10_000)
-
-
 def test_witness_queries_order_and_values(aug2, comp2, td_unit, entry_table_unit):
     ray = psmeasure.sample_ray(aug2, {comp2: td_unit}, entry_table_unit, 20_000, seed=3)
     classes = words.enumerate_classes(2, 2, identify_inverse=True)[:4]

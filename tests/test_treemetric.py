@@ -8,6 +8,15 @@ Claims covered:
       four-point condition on trees
     - translation lengths: cyclic tightening vs the iterative-quotient oracle
       and vs the reference formula dist - 2(x, x^-1), exact on trees
+    - integer lengths over one denominator give the values of the Fraction
+      arithmetic they replace (kept here as the reference): dist and
+      translation_length on the fixtures, 90 battery draws of rank 2 to 4 and
+      two graphs with odd denominators, rational and float (bit-identical
+      floats but for the summation order of a rotated loop), and
+      witness_deviation on the seed-7 rigid set
+    - translation_length needs no cyclic reduction: a word, its conjugates and
+      its class (with or without inverses identified) get one length; a word
+      or class of another rank is refused
     - the theta graph's three circles and the barbell's bridge give the
       expected lengths
     - marking validation catches broken and non-injective markings
@@ -191,6 +200,111 @@ def test_theta_and_barbell_lengths(theta, barbell):
     # the barbell's b crosses the bridge q twice, its loop r not at all
     assert barbell.dist(Word.from_str("b", 2)) == Fraction(5, 2)
     assert (ell(barbell, "a"), ell(barbell, "b"), ell(barbell, "ab")) == (1, Fraction(3, 2), Fraction(7, 2))
+
+
+# -- the Fraction arithmetic, kept as the reference ---------------------------------
+
+
+def _reference_walk(graph: MetricGraph, letters):
+    """Tight path and running length, edge by edge in Fraction (or float)
+    arithmetic on the edges' own lengths, as before the integer length table."""
+    stack, total = [], 0 if all(isinstance(e.length, Fraction) for e in graph.edges) else 0.0
+    for letter in letters:
+        marking = graph.marking[abs(letter) - 1]
+        for e in marking if letter > 0 else tuple(-e for e in reversed(marking)):
+            if stack and stack[-1] == -e:
+                stack.pop()
+                total -= graph.edges[abs(e) - 1].length
+            else:
+                stack.append(e)
+                total += graph.edges[abs(e) - 1].length
+    return stack, total
+
+
+def _reference_translation_length(graph: MetricGraph, x):
+    """Cyclically reduce to the canonical rotation, tighten it, peel the ends."""
+    c = words.cyclic_reduce(x) if isinstance(x, Word) else x
+    path, _ = _reference_walk(graph, c.representative().letters)
+    i, j = 0, len(path)
+    while j - i >= 2 and path[i] == -path[j - 1]:
+        i += 1
+        j -= 1
+    total = 0 if isinstance(graph.edges[0].length, Fraction) else 0.0
+    for e in path[i:j]:
+        total += graph.edges[abs(e) - 1].length
+    return total
+
+
+def _assert_same(new, ref, bits=True):
+    """Equal Fractions, or floats with the same bits (close, when bits is unset)."""
+    if isinstance(ref, float):
+        assert isinstance(new, float)
+        assert new.hex() == ref.hex() if bits else new == pytest.approx(ref, rel=1e-12)
+    else:
+        assert isinstance(new, Fraction) and new == ref
+
+
+def _reference_graphs(*fixtures):
+    """The fixtures, 30 battery draws at each of ranks 2, 3 and 4, and two
+    graphs whose lengths have no power-of-two denominator."""
+    drawn = [rigidity.random_marked_metric(np.random.default_rng([rank, i]), rank)
+             for rank in (2, 3, 4) for i in range(30)]
+    odd = [rose(["1/3", "2/7", "5/11"]),
+           marked_rose(["1/3", "2/7"], words.parse_substitution({"a": "ab", "b": "b"}, 2))]
+    return [word_metric(2), *fixtures, *drawn], odd
+
+
+def _words_and_conjugates(rng, rank, n=8):
+    """The identity and random words up to 60 letters, each with a random
+    conjugate (which is in general not cyclically reduced)."""
+    out = [(words.identity(rank), words.identity(rank))]
+    for _ in range(n):
+        w, g = _random_word(rng, rank, 60), _random_word(rng, rank, 6)
+        out.append((w, g * w * ~g))
+    return out
+
+
+def test_lengths_match_the_fraction_reference(rose12, twisted, subdivided_rose, theta, barbell):
+    # dyadic lengths keep every float sum exact, so a rotated loop sums to the
+    # same bits; on the odd graphs only the canonical rotation is bit-identical
+    dyadic, odd = _reference_graphs(rose12, twisted, subdivided_rose, theta, barbell)
+    rng = random.Random(31)
+    for graph in dyadic + odd:
+        for metric in (graph, treemetric.as_float(graph)):
+            for w, conj in _words_and_conjugates(rng, graph.rank):
+                for x in (w, conj):
+                    _assert_same(metric.dist(x), _reference_walk(metric, x.letters)[1])
+                    ref = _reference_translation_length(metric, x)
+                    _assert_same(metric.translation_length(x), ref, bits=graph not in odd)
+                    _assert_same(metric.translation_length(words.cyclic_reduce(x)), ref)
+
+
+def test_translation_length_is_a_class_function(rose12, twisted, subdivided_rose, theta, barbell):
+    dyadic, odd = _reference_graphs(rose12, twisted, subdivided_rose, theta, barbell)
+    rng = random.Random(37)
+    for graph in dyadic + odd:
+        for w, conj in _words_and_conjugates(rng, graph.rank):
+            ell = graph.translation_length(w)
+            assert ell == graph.translation_length(conj) == graph.translation_length(words.cyclic_reduce(w))
+            assert ell == graph.translation_length(words.cyclic_reduce(conj, identify_inverse=True))
+
+
+def test_witness_deviation_matches_the_reference(rigid7, rose12, twisted, theta, barbell):
+    ell = lambda metric, c: _reference_translation_length(metric, c.representative())
+    for graph in (rose12, twisted, theta, barbell):
+        for metric in (graph, treemetric.as_float(graph)):
+            for e in rigid7.entries:
+                ref = abs(ell(metric, e.witness_class2) - ell(metric, e.witness_class1) - e.power * ell(metric, e.cls))
+                _assert_same(rigidity.witness_deviation(e, metric), ref)
+
+
+def test_rank_mismatch_refused(rose12):
+    with pytest.raises(ValidationError, match="rank-3 word or class on the rank-2 graph"):
+        rose12.translation_length(ConjClass.from_str("c", 3))
+    with pytest.raises(ValidationError, match="rank-3"):
+        rose12.dist(Word.from_str("ac", 3))
+    with pytest.raises(ValidationError, match="rank-2"):
+        rose([1, 2, 3]).translation_length(Word.from_str("ab", 2))
 
 
 MARKING_BASE = {

@@ -4,6 +4,8 @@ Claims covered:
     - reduction cancels inverse pairs and is idempotent; a letter outside the
       rank is refused, also when it would cancel
     - letters are ordered a < A < b < B < ... for every canonical choice
+    - words and classes spell through one table as ``letter_to_char`` does,
+      for every letter of every rank, and a spelled word parses back
     - cyclic reduction is conjugation invariant with canonical rotations
     - sphere and class enumerations match independent brute-force oracles
     - resource guards trip before oversized enumerations
@@ -139,6 +141,23 @@ def test_substitutions():
     assert str(composed[1]) == "abb"
     with pytest.raises(ValueError):
         words.parse_substitution({"a": "ab"}, 2)
+
+
+def test_spelling_table_matches_letter_to_char():
+    for i in range(1, words.MAX_RANK + 1):
+        for l in (i, -i):
+            assert str(Word((l,), words.MAX_RANK)) == words.letter_to_char(l)
+    assert str(words.identity(3)) == str(ConjClass((), 3)) == "1"
+    assert str(ConjClass.from_str("BaB", 2)) == "aBB"
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, words.MAX_RANK), st.lists(st.integers(1, 2 * words.MAX_RANK), max_size=40))
+def test_spelling_round_trips(rank, picks):
+    raw = [(p + 1) // 2 * (1 if p % 2 else -1) for p in picks if (p + 1) // 2 <= rank]
+    w = reduce(raw, rank)
+    assert Word.from_str(str(w), rank) == w
+    assert str(w) == ("".join(words.letter_to_char(l) for l in w.letters) or "1")
 
 
 _letters2 = st.sampled_from([1, -1, 2, -2])
