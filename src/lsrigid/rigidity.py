@@ -547,14 +547,12 @@ def random_marked_metric(rng: np.random.Generator, rank: int = 2) -> MetricGraph
 
 
 @cache
-def _short_representatives(rank: int, max_len: int) -> tuple[Word, ...]:
-    return tuple(c.representative() for c in enumerate_classes(rank, max_len, identify_inverse=True))
+def _short_classes(rank: int, max_len: int) -> tuple[ConjClass, ...]:
+    return tuple(enumerate_classes(rank, max_len, identify_inverse=True))
 
 
 def _certified_distinct(t1: MetricGraph, t2: MetricGraph, max_len: int = 4) -> bool:
-    return any(
-        t1.translation_length(w) != t2.translation_length(w) for w in _short_representatives(t1.rank, max_len)
-    )
+    return any(t1.translation_length(c) != t2.translation_length(c) for c in _short_classes(t1.rank, max_len))
 
 
 def random_distinct_pair(

@@ -77,42 +77,6 @@ class Edge:
     length: Fraction | float
 
 
-class DistanceWalker:
-    """Incrementally tightened edge path from the basepoint.
-
-    push(letters) appends their marking paths and keeps the invariant that the
-    stored path is tight (no backtracking), so ``dist`` is always the exact
-    tree distance from the basepoint to the current endpoint.  The running
-    total adds and subtracts entries of the graph's signed length table: ints
-    over one denominator on a rational graph, floats in push order otherwise.
-    """
-
-    def __init__(self, graph: "MetricGraph"):
-        self._graph = graph
-        self._stack: list[int] = []
-        self._total = 0 if graph.rational else 0.0
-
-    def push(self, letters: Sequence[int]) -> None:
-        lengths = self._graph._lengths
-        paths = self._graph._marking_paths
-        stack = self._stack
-        total = self._total
-        for letter in letters:
-            for e in paths[letter]:
-                if stack and stack[-1] == -e:
-                    stack.pop()
-                    total -= lengths[e]
-                else:
-                    stack.append(e)
-                    total += lengths[e]
-        self._total = total
-
-    @property
-    def dist(self):
-        d = self._graph._denominator
-        return self._total if d is None else Fraction(self._total, d)
-
-
 @dataclass(frozen=True)
 class MetricGraph:
     """Marked metric graph; immutable after validation, all queries pure."""
@@ -284,24 +248,34 @@ class MetricGraph:
             raise ValidationError(f"a rank-{x.rank} word or class on the rank-{self.rank} graph {self.tag!r}")
         return x.letters
 
-    def _tight_path(self, x: Word | ConjClass) -> list[int]:
-        """The tight edge path that the letters of x spell from the basepoint;
-        ``DistanceWalker`` without the running length."""
+    def _walk(self, x: Word | ConjClass) -> tuple[list[int], int | float]:
+        """The tight edge path that the letters of x spell from the basepoint,
+        and its length in table units.
+
+        Each marking edge either cancels the last edge of the path or extends
+        it, so the path stays tight (no backtracking) and its length is the
+        tree distance from the basepoint to its end.  The length adds and
+        subtracts entries of the signed length table: ints over D on a
+        rational graph, floats in the order the edges come otherwise.
+        """
+        lengths = self._lengths
         paths = self._marking_paths
         stack: list[int] = []
+        total = 0 if self.rational else 0.0
         for letter in self._letters(x):
             for e in paths[letter]:
                 if stack and stack[-1] == -e:
                     stack.pop()
+                    total -= lengths[e]
                 else:
                     stack.append(e)
-        return stack
+                    total += lengths[e]
+        return stack, total
 
     def dist(self, w: Word) -> Fraction | float:
         """d(basepoint, w . basepoint) in the universal cover."""
-        walker = DistanceWalker(self)
-        walker.push(self._letters(w))
-        return walker.dist
+        _, total = self._walk(w)
+        return total if self._denominator is None else Fraction(total, self._denominator)
 
     def translation_length(self, c: ConjClass | Word) -> Fraction | float:
         """Length of the cyclically tight loop of ``c``, given by any representative.
@@ -316,7 +290,7 @@ class MetricGraph:
         representative enters it, so two conjugates can differ in the last
         bits; a rational graph is exact.
         """
-        path = self._tight_path(c)
+        path, _ = self._walk(c)
         i, j = 0, len(path)
         while j - i >= 2 and path[i] == -path[j - 1]:
             i += 1
@@ -449,7 +423,7 @@ def _graph_increments(graph: MetricGraph) -> Increments:
     letters.
     """
     letters = alphabet(graph.rank)
-    tight = {x: graph._tight_path(Word((x,), graph.rank)) for x in letters}
+    tight = {x: graph._walk(Word((x,), graph.rank))[0] for x in letters}
     reach = _prefix_reach(graph)
     for k in itertools.count(1):
         _check_window_cap(graph.rank, k, graph.tag)

@@ -260,7 +260,8 @@ def test_reduced_coding_proof_agrees_with_ball_validation(free2):
             changed += proved and _edges(ms) != _edges(base)
             assert proved == validate_strongly_markov(ms, radius=5).ok
         assert len(verdicts) > 300 and 0 < sum(verdicts) < len(verdicts)
-    assert changed > 0
+        if base is not free2:  # every accepted mutant of free2 is free2 itself
+            assert changed > 0
 
 
 def test_augment(free2, aug2):

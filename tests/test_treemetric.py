@@ -577,7 +577,7 @@ def test_prefix_reach_covers_left_cancellation(subdivided_rose, twisted):
     |u| <= 4."""
     for graph in (subdivided_rose, twisted, _substituted_rose({"a": "aab", "b": "Bab"})):
         reach = treemetric._prefix_reach(graph)
-        tight = {w.letters: graph._tight_path(w) for w in words.enumerate_ball(2, 4)}
+        tight = {w.letters: graph._walk(w)[0] for w in words.enumerate_ball(2, 4)}
         for v in (w for w in tight if 1 <= len(w) <= 3):
             left = 0
             for u in tight:
