@@ -56,7 +56,6 @@ from .rigidity import (
     rough_ray,
     separation_battery,
     verify_separation,
-    witness_at,
     witness_deviation,
 )
 from .thermo import (

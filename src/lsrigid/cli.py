@@ -231,7 +231,7 @@ def cmd_rigid_build(args) -> int:
     ms = _load_structure_arg(args)
     aug = coding.augment(ms)
     ray = psmeasure.load_ray(args.ray, aug)
-    classes = words.enumerate_classes(ms.rank, args.maxlen, identify_inverse=True)[: args.classes]
+    classes = words.first_classes(ms.rank, args.maxlen, args.classes, identify_inverse=True)
     rigid = rigidity.build_rigid_set(ray, classes, args.budget, t_max=args.tmax, m_max=args.mmax)
     rigid.to_csv(args.out)
     print(f"{len(rigid.entries)} entries, {len(rigid.witness_classes())} witness classes -> {args.out}")
@@ -356,9 +356,9 @@ def run_pipeline(config_path, out_dir, seed_override: int | None = None) -> dict
         psmeasure.save_ray(ray, out / "ray.txt")
 
     with stage("rigidset"):
-        classes = words.enumerate_classes(
-            ms.rank, int(config["class_max_length"]), identify_inverse=True
-        )[: int(config["classes"])]
+        classes = words.first_classes(
+            ms.rank, int(config["class_max_length"]), int(config["classes"]), identify_inverse=True
+        )
         rigid = rigidity.build_rigid_set(
             ray, classes, str(config["budget"]), t_max=float(config["tmax"]),
             m_max=int(config["mmax"]),

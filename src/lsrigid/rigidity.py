@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property
+from itertools import groupby
 from typing import Callable, Sequence
 
 import numpy as np
@@ -29,6 +30,7 @@ from .treemetric import MetricGraph, marked_rose, rose
 from .words import (
     ConjClass,
     Word,
+    _canonical_rotation,
     char_to_letter,
     compose_substitutions,
     cyclic_reduce,
@@ -92,11 +94,17 @@ def witness_length(letters: Sequence[int], n: int) -> int:
     return n if _prefix_depth(letters, n) <= _prefix_depth(letters, n - 1) else n - 1
 
 
-def witness_at(ray: RaySample, n: int, letters: tuple[int, ...] | None = None) -> Word:
-    if letters is None:
-        letters = ray.word_letters()
+def _witness_core(letters: Sequence[int], n: int) -> tuple[int, int]:
+    """(m, depth) of the witness at position n: its prefix length and its
+    conjugation depth, so its class has length m - 2 * depth."""
     m = witness_length(letters, n)
-    return Word(tuple(letters[:m]), ray.structure.rank)
+    return m, _prefix_depth(letters, m)
+
+
+def _witness_class(letters: tuple[int, ...], core: tuple[int, int], rank: int) -> ConjClass:
+    """The class of the witness with this (m, depth), canonicalised once."""
+    m, d = core
+    return ConjClass._of_canonical(_canonical_rotation(letters[d : m - d], True), rank, True)
 
 
 @dataclass(frozen=True)
@@ -130,9 +138,7 @@ def rough_ray(ray: RaySample, limit: int | None = None) -> RoughRay:
     lengths = np.empty(n_max, dtype=np.int64)
     depths = np.empty(n_max, dtype=np.int64)
     for n in range(1, n_max + 1):
-        m = witness_length(letters, n)
-        lengths[n - 1] = m
-        depths[n - 1] = _prefix_depth(letters, m)
+        lengths[n - 1], depths[n - 1] = _witness_core(letters, n)
     d1 = int(depths.max(initial=0))
     return RoughRay(
         ray=ray,
@@ -199,9 +205,12 @@ class RigidSet:
 
     @cached_property
     def _witness_order(self) -> tuple[ConjClass, ...]:
-        return tuple(
-            sorted(self._witness_lengths, key=lambda c: (len(c.letters), word_key(c.letters)))
-        )
+        # (length, word_key) order; word_key is only spelled out within a tie
+        order: list[ConjClass] = []
+        for _, tie in groupby(sorted(self._witness_lengths, key=len), key=len):
+            tie = list(tie)
+            order.extend(sorted(tie, key=lambda c: word_key(c.letters)) if len(tie) > 1 else tie)
+        return tuple(order)
 
     def witness_classes(self) -> list[ConjClass]:
         return list(self._witness_order)
@@ -213,17 +222,16 @@ class RigidSet:
         return sum(1 for ell in self._witness_lengths.values() if ell < t)
 
     def to_csv(self, path) -> None:
+        # Every field is letters, digits or "ell_S(...)", so none needs quoting
+        # and the lines are those of csv.writer (excel dialect, CRLF endings).
+        spelled = iter(_spell_witnesses([w for e in self.entries for w in (e.witness1, e.witness2)]))
+        header = ["class", "M", "N1", "N2", "witness1", "witness2", "ell_S(witness1)", "ell_S(witness2)"]
+        rows = [header] + [
+            [str(e.cls), e.power, e.n1, e.n2, next(spelled), next(spelled), e.ell1, e.ell2]
+            for e in self.entries
+        ]
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["class", "M", "N1", "N2", "witness1", "witness2",
-                 "ell_S(witness1)", "ell_S(witness2)"]
-            )
-            for e in self.entries:
-                writer.writerow(
-                    [str(e.cls), e.power, e.n1, e.n2, str(e.witness1), str(e.witness2),
-                     e.ell1, e.ell2]
-                )
+            fh.write("".join(",".join(map(str, row)) + "\r\n" for row in rows))
 
     @classmethod
     def from_csv(cls, path, rank: int | None = None, budget_desc: str = "unknown",
@@ -255,6 +263,16 @@ class RigidSet:
                 )
             )
         return cls(rank=rank, entries=tuple(entries), budget_desc=budget_desc, t_max=t_max)
+
+
+def _spell_witnesses(witnesses: list[Word]) -> list[str]:
+    """ASCII forms of the witnesses.  The witnesses of a set built from one ray
+    are prefixes of its word, so the longest is spelled once and sliced."""
+    longest = max(witnesses, key=len, default=None)
+    if longest is None or any(longest.letters[: len(w)] != w.letters for w in witnesses):
+        return [str(w) for w in witnesses]
+    text = str(longest)
+    return [text[: len(w)] or "1" for w in witnesses]
 
 
 def _letters_of(row: dict) -> list[int]:
@@ -296,10 +314,16 @@ def build_rigid_set(
     classes keep the running budget satisfied for every threshold up to
     t_max; witness lengths grow linearly with position, so a feasible
     position always exists on a long enough ray.
+
+    A witness class's length is read off the ray (prefix length minus twice
+    the conjugation depth).  Its canonical form is only needed to tell it
+    from a chosen class or from the pair's other witness of the same length,
+    and for the pair that is kept.
     """
     if isinstance(budget, str):
         budget = parse_budget(budget)
     letters = ray.word_letters()
+    rank = ray.structure.rank
     chosen: dict[ConjClass, int] = {}
     entries: list[RigidSetEntry] = []
     for c in classes:
@@ -320,28 +344,38 @@ def build_rigid_set(
             optimistic = list(chosen.values()) + [n1, n2]
             if not _budget_feasible(optimistic, budget, t_max):
                 continue
-            w1 = witness_at(ray, n1, letters)
-            w2 = witness_at(ray, n2, letters)
-            wc1 = cyclic_reduce(w1, identify_inverse=True)
-            wc2 = cyclic_reduce(w2, identify_inverse=True)
-            tentative = dict(chosen)
-            tentative[wc1] = len(wc1)
-            tentative[wc2] = len(wc2)
-            if not _budget_feasible(list(tentative.values()), budget, t_max):
+            core1, core2 = _witness_core(letters, n1), _witness_core(letters, n2)
+            ell1, ell2 = core1[0] - 2 * core1[1], core2[0] - 2 * core2[1]
+            # a witness class can only repeat a chosen class, or the other
+            # witness's class, of its own length
+            taken = chosen.values()
+            wc1 = _witness_class(letters, core1, rank) if ell1 in taken or ell1 == ell2 else None
+            wc2 = _witness_class(letters, core2, rank) if ell2 in taken or ell1 == ell2 else None
+            fresh = list(chosen.values())
+            if wc1 not in chosen:
+                fresh.append(ell1)
+            if wc2 not in chosen and (ell2 != ell1 or wc2 != wc1):
+                fresh.append(ell2)
+            if not _budget_feasible(fresh, budget, t_max):
                 continue
-            chosen = tentative
+            if wc1 is None:
+                wc1 = _witness_class(letters, core1, rank)
+            if wc2 is None:
+                wc2 = _witness_class(letters, core2, rank)
+            chosen[wc1] = ell1
+            chosen[wc2] = ell2
             entries.append(
                 RigidSetEntry(
                     cls=c,
                     power=loop.power,
                     n1=n1,
                     n2=n2,
-                    witness1=w1,
-                    witness2=w2,
+                    witness1=Word(letters[: core1[0]], rank),
+                    witness2=Word(letters[: core2[0]], rank),
                     witness_class1=wc1,
                     witness_class2=wc2,
-                    ell1=len(wc1),
-                    ell2=len(wc2),
+                    ell1=ell1,
+                    ell2=ell2,
                 )
             )
             placed = True
@@ -353,7 +387,7 @@ def build_rigid_set(
                 horizon=len(ray),
             )
     return RigidSet(
-        rank=ray.structure.rank,
+        rank=rank,
         entries=tuple(entries),
         budget_desc=budget.name,
         t_max=t_max,
@@ -389,13 +423,11 @@ def occurrence_matrix(rigid: RigidSet) -> OccurrenceMatrix:
     lengths are exactly this matrix applied to the edge lengths.
     """
     classes = tuple(rigid.witness_classes())
-    rows = []
-    for c in classes:
-        row = [0] * rigid.rank
-        for l in c.letters:
-            row[abs(l) - 1] += 1
-        rows.append(tuple(row))
-    return OccurrenceMatrix(classes=classes, counts=tuple(rows))
+    counts = tuple(
+        tuple(c.letters.count(i) + c.letters.count(-i) for i in range(1, rigid.rank + 1))
+        for c in classes
+    )
+    return OccurrenceMatrix(classes=classes, counts=counts)
 
 
 def _rational_rank(rows: Sequence[Sequence[int]]) -> int:

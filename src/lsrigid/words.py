@@ -8,6 +8,8 @@ corresponding uppercase letter, so ``"aBa"`` is a * b^-1 * a.
 
 from __future__ import annotations
 
+import operator
+from array import array
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -25,11 +27,13 @@ def letter_to_char(letter: int) -> str:
 
 
 _CHARS = {l: letter_to_char(l) for i in range(1, MAX_RANK + 1) for l in (i, -i)}
+_SPELLING = bytes(ord(_CHARS.get(b - 256 if b > 127 else b, "?")) for b in range(256))
 
 
 def _spell(letters: Sequence[int]) -> str:
     """The ASCII form of a letter sequence; "1" for the empty one."""
-    return "".join(map(_CHARS.__getitem__, letters)) or "1"
+    # letters as signed bytes, each byte translated to its character
+    return array("b", letters).tobytes().translate(_SPELLING).decode("ascii") or "1"
 
 
 def char_to_letter(ch: str) -> int:
@@ -37,10 +41,13 @@ def char_to_letter(ch: str) -> int:
     return idx if ch.islower() else -idx
 
 
+_CODES = {l: (abs(l) << 1) | (l < 0) for l in _CHARS}
+
+
 def word_key(letters: Sequence[int]) -> tuple[int, ...]:
     """Letter codes 2|l| + (l < 0): their order a < a^-1 < b < b^-1 < ... is the
     one used for all canonical choices."""
-    return tuple((abs(l) << 1) | (l < 0) for l in letters)
+    return tuple(map(_CODES.__getitem__, letters))
 
 
 def alphabet(rank: int) -> list[int]:
@@ -150,10 +157,42 @@ def conjugation_depth(w: Word) -> int:
 
 
 def _inverse_cyclic(letters: Sequence[int]) -> tuple[int, ...]:
-    return tuple(-l for l in reversed(letters))
+    return tuple(map(operator.neg, reversed(letters)))
+
+
+_MAX_RUN_STARTS = 16  # past this many rotations to compare, Booth's one scan is cheaper
 
 
 def _least_rotation_index(codes: tuple[int, ...]) -> int:
+    """Start index of the lexicographically least rotation (codes below 256).
+
+    That rotation begins with the longest cyclic run of the least code, so
+    only the rotations at the starts of such runs are compared, as bytes.  A
+    word with many such starts (a periodic one, say) goes to Booth's
+    algorithm instead, which is linear whatever the word.
+    """
+    n = len(codes)
+    doubled = bytes(codes + codes)
+    least = bytes([min(codes)])
+    lo, hi = 1, n  # bounds on the longest cyclic run of the least code
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if least * mid in doubled:
+            lo = mid
+        else:
+            hi = mid - 1
+    run = least * lo
+    starts: list[int] = []
+    i = doubled.find(run)
+    while 0 <= i < n:
+        if len(starts) == _MAX_RUN_STARTS:
+            return _booth_least_rotation(codes)
+        starts.append(i)
+        i = doubled.find(run, i + 1)
+    return min(starts, key=lambda i: doubled[i : i + n])
+
+
+def _booth_least_rotation(codes: tuple[int, ...]) -> int:
     """Booth's algorithm: start index of the lexicographically least rotation."""
     n = len(codes)
     doubled = codes + codes
@@ -213,6 +252,16 @@ class ConjClass:
             if self.letters != _canonical_rotation(self.letters, self.inverse_identified):
                 raise ValueError(f"{self.letters} is not in canonical rotation")
 
+    @classmethod
+    def _of_canonical(cls, letters: tuple[int, ...], rank: int, inverse_identified: bool) -> "ConjClass":
+        """The class of letters just put in canonical rotation, without checking
+        them again (the check costs as much as the canonicalisation)."""
+        c = object.__new__(cls)
+        object.__setattr__(c, "letters", letters)
+        object.__setattr__(c, "rank", rank)
+        object.__setattr__(c, "inverse_identified", inverse_identified)
+        return c
+
     def __len__(self) -> int:
         return len(self.letters)
 
@@ -232,7 +281,7 @@ class ConjClass:
         if m == 0 or not self.letters:
             return ConjClass((), self.rank, self.inverse_identified)
         base = self.letters if m > 0 else _inverse_cyclic(self.letters)
-        return ConjClass(
+        return ConjClass._of_canonical(
             _canonical_rotation(base * abs(m), self.inverse_identified),
             self.rank,
             self.inverse_identified,
@@ -247,7 +296,7 @@ def cyclic_reduce(w: Word, identify_inverse: bool = False) -> ConjClass:
     """Canonical conjugacy class of w.  The identity maps to the empty class."""
     d = conjugation_depth(w)
     core = w.letters[d : len(w) - d]
-    return ConjClass(_canonical_rotation(core, identify_inverse), w.rank, identify_inverse)
+    return ConjClass._of_canonical(_canonical_rotation(core, identify_inverse), w.rank, identify_inverse)
 
 
 def sphere_size(rank: int, n: int) -> int:
@@ -308,6 +357,19 @@ def enumerate_classes(
 
     Each class appears exactly once, sorted by (length, canonical form).
     """
+    return first_classes(rank, max_length, None, identify_inverse, cap)
+
+
+def first_classes(
+    rank: int,
+    max_length: int,
+    count: int | None,
+    identify_inverse: bool = False,
+    cap: int = DEFAULT_CAP,
+) -> list[ConjClass]:
+    """``enumerate_classes(...)[:count]``, every class for ``count=None``.  The
+    order is by length first, so no length past the one that fills ``count``
+    is enumerated."""
     _check_rank(rank)
     if max_length < 1:
         raise ValueError("max length must be at least 1")
@@ -319,16 +381,15 @@ def enumerate_classes(
         )
     out: list[ConjClass] = []
     for length in range(1, max_length + 1):
-        seen: set[tuple[int, ...]] = set()
-        for letters in _reduced_words(rank, length):
-            if len(letters) >= 2 and letters[0] == -letters[-1]:
-                continue  # not cyclically reduced
-            canon = _canonical_rotation(letters, identify_inverse)
-            if canon not in seen:
-                seen.add(canon)
-                out.append(ConjClass(canon, rank, identify_inverse))
-    out.sort(key=lambda c: (len(c.letters), word_key(c.letters)))
-    return out
+        if count is not None and 0 <= count <= len(out):
+            break
+        canon = {
+            _canonical_rotation(letters, identify_inverse)
+            for letters in _reduced_words(rank, length)
+            if len(letters) < 2 or letters[0] != -letters[-1]  # cyclically reduced
+        }
+        out.extend(ConjClass._of_canonical(c, rank, identify_inverse) for c in sorted(canon, key=word_key))
+    return out[:count]
 
 
 def apply_substitution(w: Word, images: dict[int, Word]) -> Word:

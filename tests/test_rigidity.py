@@ -12,9 +12,19 @@ Claims covered:
     - the seed-7 set has full rank 2 and recovers the edge lengths of a rose
       from its witness lengths; perturbed targets are inconsistent and a
       rank-deficient set is refused
+    - the builder, which reads witness lengths off the ray and canonicalises
+      only the classes it must compare or keep, gives the entries, witness
+      order and E.csv bytes of the reference builder that canonicalises every
+      candidate: rank-2 and rank-3 roses and the twisted rose, log, sqrt and
+      linear budgets, three seeds each; among them a twisted-rose ray on
+      which a kept pair is feasible only because it repeats a chosen class
+    - the seed-7 build runs the least-rotation search on at most two passes
+      per kept witness class plus the loop checks of find_loop_for_class
 """
 
+import csv
 import dataclasses
+import functools
 import math
 from fractions import Fraction
 
@@ -22,9 +32,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lsrigid import psmeasure, rigidity, treemetric, words
-from lsrigid.errors import ValidationError
-from lsrigid.rigidity import BUDGET_SLACK, RigidSet, _budget_feasible, parse_budget
+from lsrigid import coding, psmeasure, rigidity, thermo, treemetric, words
+from lsrigid.coding import find_loop_for_class
+from lsrigid.errors import NotFoundError, ValidationError
+from lsrigid.rigidity import (
+    BUDGET_SLACK,
+    RigidSet,
+    RigidSetEntry,
+    _budget_feasible,
+    _occurrence_starts,
+    parse_budget,
+    witness_length,
+)
 
 
 def test_witness_queries_order_and_values(aug2, comp2, td_unit, entry_table_unit):
@@ -98,3 +117,141 @@ def test_rank_deficient_set_refused(rigid7):
     assert rigidity.rose_rank_check(deficient) == 1
     with pytest.raises(ValidationError, match="rank 1 < 2"):
         rigidity.recover_lengths(deficient, lambda c: 1.0)
+
+
+# -- the builder against a reference ------------------------------------------------
+
+
+def _reference_build(ray, classes, budget, t_max, m_max=8):
+    """The builder that canonicalises every candidate witness: for each
+    candidate past the optimistic check it builds both witnesses and their
+    classes, then tests the budget on the classes kept so far plus these."""
+    budget = parse_budget(budget)
+    letters = ray.word_letters()
+    rank = ray.structure.rank
+    chosen, entries = {}, []
+    for c in classes:
+        loop = find_loop_for_class(c, ray.component, m_max)
+        pattern = ray.structure.resolve(loop.states)
+        for start in _occurrence_starts(ray.indices, pattern):
+            n1 = int(start)
+            if n1 < 1:
+                continue
+            n2 = n1 + len(pattern) - 1
+            if n2 > len(letters):
+                raise NotFoundError("horizon", horizon=len(ray))
+            if not _budget_feasible(list(chosen.values()) + [n1, n2], budget, t_max):
+                continue
+            w1 = words.Word(letters[: witness_length(letters, n1)], rank)
+            w2 = words.Word(letters[: witness_length(letters, n2)], rank)
+            wc1 = words.cyclic_reduce(w1, identify_inverse=True)
+            wc2 = words.cyclic_reduce(w2, identify_inverse=True)
+            tentative = dict(chosen)
+            tentative[wc1] = len(wc1)
+            tentative[wc2] = len(wc2)
+            if not _budget_feasible(list(tentative.values()), budget, t_max):
+                continue
+            chosen = tentative
+            entries.append(RigidSetEntry(c, loop.power, n1, n2, w1, w2, wc1, wc2, len(wc1), len(wc2)))
+            break
+        else:
+            raise NotFoundError("horizon", horizon=len(ray))
+    return entries
+
+
+def _reference_csv(entries, path):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["class", "M", "N1", "N2", "witness1", "witness2",
+                         "ell_S(witness1)", "ell_S(witness2)"])
+        for e in entries:
+            writer.writerow([str(e.cls), e.power, e.n1, e.n2, str(e.witness1), str(e.witness2),
+                             e.ell1, e.ell2])
+
+
+def _assert_matches_reference(ray, classes, budget, t_max, tmp_path):
+    rigid = rigidity.build_rigid_set(ray, classes, budget, t_max=t_max)
+    expected = _reference_build(ray, classes, budget, t_max)
+    assert list(rigid.entries) == expected
+    kept = {}
+    for e in expected:
+        kept.setdefault(e.witness_class1, e.ell1)
+        kept.setdefault(e.witness_class2, e.ell2)
+    assert rigid.witness_classes() == sorted(kept, key=lambda c: (len(c), words.word_key(c.letters)))
+    assert rigid.witness_lengths() == kept
+    assert [list(r) for r in rigidity.occurrence_matrix(rigid).counts] == [
+        [sum(1 for l in c.letters if abs(l) == i) for i in range(1, rigid.rank + 1)]
+        for c in rigid.witness_classes()
+    ]
+    rigid.to_csv(tmp_path / "E.csv")
+    _reference_csv(expected, tmp_path / "reference.csv")
+    assert (tmp_path / "E.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+    return rigid
+
+
+_GRAPHS = {
+    "rose2": lambda: treemetric.rose([1, 1]),
+    "rose3": lambda: treemetric.rose([1, 2, 3]),
+    "twisted": lambda: treemetric.marked_rose([1, 1], words.parse_substitution({"a": "ab", "b": "b"}, 2)),
+}
+
+
+@functools.cache
+def _chain(graph_name):
+    graph = _GRAPHS[graph_name]()
+    ms = coding.build_free_group_coding(graph.rank)
+    aug = coding.augment(ms)
+    pot = thermo.potential_from_metric(ms, graph)
+    growth = thermo.solve_growth_rate(ms, pot)
+    transfer = {c: thermo.pressure(c, pot, growth.v_star) for c in growth.maximal_components}
+    return aug, transfer, psmeasure.entry_weight_table(aug, graph, growth.v_star)
+
+
+@pytest.mark.parametrize("budget", ["log", "sqrt", "linear"])
+@pytest.mark.parametrize("graph_name,n_classes,t_max", [("rose2", 5, 10_000), ("twisted", 5, 10_000), ("rose3", 8, 2_000)])
+def test_builder_matches_reference(graph_name, n_classes, t_max, budget, tmp_path):
+    aug, transfer, entry_table = _chain(graph_name)
+    rank = aug.rank
+    classes = words.enumerate_classes(rank, 3, identify_inverse=True)[:n_classes]
+    for seed in (1, 2, 3):
+        ray = psmeasure.sample_ray(aug, transfer, entry_table, 2 * t_max + 2_000, seed=seed)
+        _assert_matches_reference(ray, classes, budget, t_max, tmp_path)
+
+
+def test_builder_keeps_a_pair_that_only_a_repeated_class_makes_feasible(tmp_path):
+    # on this ray a kept pair repeats a chosen witness class, and the budget
+    # would refuse the pair if that class were counted twice
+    aug, transfer, entry_table = _chain("twisted")
+    ray = psmeasure.sample_ray(aug, transfer, entry_table, 22_000, seed=1)
+    classes = words.enumerate_classes(2, 3, identify_inverse=True)[:5]
+    rigid = _assert_matches_reference(ray, classes, "linear", 10_000, tmp_path)
+    budget = parse_budget("linear")
+    kept, values, repeated = set(), [], []
+    for e in rigid.entries:
+        if {e.witness_class1, e.witness_class2} & kept and not _budget_feasible(
+            values + [e.ell1, e.ell2], budget, 10_000
+        ):
+            repeated.append(e)
+        for wc, ell in ((e.witness_class1, e.ell1), (e.witness_class2, e.ell2)):
+            if wc not in kept:
+                kept.add(wc)
+                values.append(ell)
+    assert repeated
+
+
+def test_seed7_build_canonicalises_only_kept_witnesses(ray7, monkeypatch):
+    classes = words.enumerate_classes(2, 4, identify_inverse=True)[:5]
+    passed = []
+    least_rotation = words._least_rotation_index
+
+    def counted(codes):
+        passed.append(len(codes))
+        return least_rotation(codes)
+
+    monkeypatch.setattr(words, "_least_rotation_index", counted)
+    for c in classes:
+        find_loop_for_class(c, ray7.component)
+    loop_checks = sum(passed)
+    passed.clear()
+    rigid = rigidity.build_rigid_set(ray7, classes, "log", t_max=10_000)
+    assert sum(passed) <= 2 * sum(e.ell1 + e.ell2 for e in rigid.entries) + loop_checks

@@ -9,6 +9,13 @@ Claims covered:
     - cyclic reduction is conjugation invariant with canonical rotations
     - sphere and class enumerations match independent brute-force oracles
     - resource guards trip before oversized enumerations
+    - the least rotation is the least of all rotations, periodic words
+      (many candidate starts) included
+    - the classes that cyclic_reduce, enumerate_classes and ConjClass.power
+      build without re-validation pass the public ConjClass check and equal
+      what it builds
+    - first_classes(rank, L, n) is enumerate_classes(rank, L)[:n] for every
+      n, and trips the same cap as the full enumeration
 """
 
 import itertools
@@ -125,6 +132,83 @@ def test_resource_guards():
         words.enumerate_sphere(2, 20, cap=1000)
     with pytest.raises(ResourceCapError):
         words.enumerate_classes(2, 20, cap=1000)
+
+
+@pytest.mark.parametrize("identify_inverse", [False, True])
+@pytest.mark.parametrize("rank,max_len", [(2, 4), (3, 3), (4, 2)])
+def test_first_classes_is_a_prefix_of_the_enumeration(rank, max_len, identify_inverse, monkeypatch):
+    every = words.enumerate_classes(rank, max_len, identify_inverse)
+    enumerated = []
+    reduced_words = words._reduced_words
+
+    def recorded(rank, n):
+        enumerated.append(n)
+        return reduced_words(rank, n)
+
+    monkeypatch.setattr(words, "_reduced_words", recorded)
+    for n in range(1, len(every) + 2):
+        enumerated.clear()
+        got = words.first_classes(rank, max_len, n, identify_inverse)
+        assert got == every[:n]
+        # no length past the one that fills n is enumerated
+        assert max(enumerated) == len(got[-1])
+
+
+def test_first_classes_trips_the_enumeration_cap():
+    with pytest.raises(ResourceCapError) as full:
+        words.enumerate_classes(2, 20, identify_inverse=True)
+    with pytest.raises(ResourceCapError) as first:
+        words.first_classes(2, 20, 5, identify_inverse=True)
+    assert str(first.value) == str(full.value)
+    assert (first.value.requested, first.value.cap) == (full.value.requested, full.value.cap)
+
+
+def _least_rotation_oracle(codes):
+    return min(codes[i:] + codes[:i] for i in range(len(codes)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.integers(2, 7), min_size=1, max_size=12),
+    st.integers(1, 6),
+    st.lists(st.integers(2, 7), max_size=3),
+)
+def test_least_rotation_is_least(period, repeats, tail):
+    # period * repeats gives words with many starts of the longest run
+    codes = tuple(period * repeats + tail)
+    k = words._least_rotation_index(codes)
+    assert 0 <= k < len(codes)
+    assert codes[k:] + codes[:k] == _least_rotation_oracle(codes)
+
+
+@pytest.mark.parametrize(
+    "codes",
+    [(2,) * 40, (2, 3) * 40, (2, 2, 3) * 30 + (2, 2), (3, 2, 2, 4) * 25, (5, 4, 3)],
+)
+def test_least_rotation_periodic_words(codes):
+    k = words._least_rotation_index(codes)
+    assert codes[k:] + codes[:k] == _least_rotation_oracle(codes)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(2, 4),
+    st.lists(st.tuples(st.integers(1, 4), st.booleans()), max_size=60),
+    st.booleans(),
+    st.integers(-3, 3),
+)
+def test_unvalidated_classes_pass_validation(rank, picks, identify_inverse, power):
+    letters = [((i - 1) % rank + 1) * (1 if positive else -1) for i, positive in picks]
+    c = cyclic_reduce(reduce(letters, rank), identify_inverse)
+    for got in (c, c.power(power)):
+        assert ConjClass(got.letters, got.rank, got.inverse_identified) == got
+
+
+@pytest.mark.parametrize("identify_inverse", [False, True])
+@pytest.mark.parametrize("rank,max_len", [(2, 5), (3, 3), (4, 3)])
+def test_enumerated_classes_pass_validation(rank, max_len, identify_inverse):
+    for c in words.enumerate_classes(rank, max_len, identify_inverse):
+        assert ConjClass(c.letters, c.rank, c.inverse_identified) == c
 
 
 def test_conjugation_depth():
