@@ -16,6 +16,7 @@ import json
 import math
 import sys
 import time
+from bisect import bisect_left
 from pathlib import Path
 
 import numpy as np
@@ -228,6 +229,8 @@ def cmd_ps_sample(args) -> int:
 
 
 def cmd_rigid_build(args) -> int:
+    if args.classes < 1:
+        raise ValidationError(f"--classes must be at least 1, got {args.classes}")
     ms = _load_structure_arg(args)
     aug = coding.augment(ms)
     ray = psmeasure.load_ray(args.ray, aug)
@@ -322,6 +325,8 @@ def run_pipeline(config_path, out_dir, seed_override: int | None = None) -> dict
         if unknown:
             raise ValidationError(f"unknown config keys: {', '.join(unknown)}")
         config = _CONFIG_DEFAULTS | given
+        if int(config["classes"]) < 1:
+            raise ValidationError(f"config key classes must be at least 1, got {config['classes']}")
         if seed_override is not None:
             config["seed"] = seed_override
         seed = int(config["seed"])
@@ -398,10 +403,12 @@ def run_pipeline(config_path, out_dir, seed_override: int | None = None) -> dict
         )
         budget = rigidity.parse_budget(str(config["budget"]))
         ts = [t for t in range(1, int(config["tmax"]) + 1, max(1, int(config["tmax"]) // 400))]
+        # #{ell < T} for every T at once: the witness lengths, sorted, bisected
+        ells = sorted(rigid.witness_lengths().values())
         line_plot(
             out / "budget_curve.svg",
             [
-                Series("#{ell < T}", ts, [rigid.count_below(t) for t in ts]),
+                Series("#{ell < T}", ts, [bisect_left(ells, t) for t in ts]),
                 Series(f"f(T) = {budget.name}", ts, [budget(t) for t in ts]),
             ],
             title="Sparsity budget",

@@ -25,6 +25,7 @@ from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
+import numpy.random  # noqa: F401  loaded lazily by numpy; load it with the package, not in the sampler
 
 from .coding import AugmentedStructure, Component, MarkovStructure, classify_components
 from .errors import ValidationError

@@ -21,7 +21,6 @@ from itertools import groupby
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.optimize
 
 from .coding import find_loop_for_class
 from .errors import NotFoundError, ValidationError
@@ -477,7 +476,10 @@ def recover_lengths(
 
     Unique when the occurrence matrix has full rank (checked); inconsistent
     targets surface as a residual above tol with ``consistent`` unset.
+    scipy is imported here, so that importing the package does not load it.
     """
+    import scipy.optimize
+
     matrix = occurrence_matrix(rigid)
     rank = _rational_rank(matrix.counts)
     if rank < rigid.rank:

@@ -12,6 +12,10 @@ only ever handles range-1 weights: pressure is the log of the Perron root of
 the weighted transfer matrix, the Gibbs measure is the associated
 positive-eigenvector Markov chain, and the growth rate is the root of
 pressure = 0 in the inverse-temperature multiplier.
+
+The transfer operator is numpy-only (``TransferOperator``: the weighted edge
+list of the block shift, applied with ``np.bincount``), so importing the
+package loads no scipy; scipy is loaded only by ``rigidity.recover_lengths``.
 """
 
 from __future__ import annotations
@@ -22,7 +26,6 @@ from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from .coding import AugmentedStructure, Component, MarkovStructure, ZERO, classify_components
 from .errors import ConvergenceError, LsrigidError, ValidationError
@@ -124,6 +127,32 @@ def potential_from_metric(ms: MarkovStructure, metric: Metric, k: int | None = N
 # -- transfer operator --------------------------------------------------------
 
 
+class TransferOperator:
+    """Weighted transfer matrix of a block shift, kept as its edge list.
+
+    Entry (r, c) is the weight of the block edge r -> c.  ``op @ x`` sums
+    w * x[c] into row r in edge order, which is column order within a row.
+    """
+
+    def __init__(self, rows: np.ndarray, cols: np.ndarray, weights: np.ndarray, n: int):
+        self.rows = rows
+        self.cols = cols
+        self.weights = weights
+        self.n = n
+
+    @property
+    def T(self) -> "TransferOperator":
+        return TransferOperator(self.cols, self.rows, self.weights, self.n)
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        return np.bincount(self.rows, self.weights * x[self.cols], minlength=self.n)
+
+    def toarray(self) -> np.ndarray:
+        dense = np.zeros((self.n, self.n))
+        np.add.at(dense, (self.rows, self.cols), self.weights)
+        return dense
+
+
 class BlockShift:
     """Depth-k block recoding of one component, with the potential on its edges."""
 
@@ -149,40 +178,43 @@ class BlockShift:
         self._rows = np.array(rows, dtype=np.int64)
         self._cols = np.array(cols, dtype=np.int64)
         self._phis = np.array(vals, dtype=np.float64)
+        self._warm: np.ndarray | None = None  # last Perron vector of leading_eigenvalue
 
     @property
     def n_blocks(self) -> int:
         return len(self.blocks)
 
-    def matrix(self, v: float) -> sp.csr_matrix:
+    def matrix(self, v: float) -> TransferOperator:
         """Weighted transfer matrix with entries exp(-v * phi) on block edges."""
-        weights = np.exp(-v * self._phis)
-        n = self.n_blocks
-        return sp.csr_matrix((weights, (self._rows, self._cols)), shape=(n, n))
+        return TransferOperator(self._rows, self._cols, np.exp(-v * self._phis), self.n_blocks)
 
     def is_single_cycle(self) -> bool:
         return len(self._rows) == self.n_blocks and len(set(self._rows.tolist())) == self.n_blocks
 
     def leading_eigenvalue(self, v: float) -> float:
+        """Perron root at v.  The power iteration starts from the previous
+        call's vector: consecutive bisection steps have close eigenvectors."""
         if self.is_single_cycle():
             lam, _, _ = self._cycle_eigendata(v)
             return lam
-        lam, _ = _perron_vector(self.matrix(v))
+        lam, self._warm = _perron_vector(self.matrix(v), self._warm)
         return lam
 
     def _cycle_eigendata(self, v: float):
-        mat = self.matrix(v).toarray()
         n = self.n_blocks
-        succ = {i: int(np.nonzero(mat[i])[0][0]) for i in range(n)}
+        succ = np.empty(n, dtype=np.int64)
+        succ[self._rows] = self._cols
+        weight = np.empty(n)
+        weight[self._rows] = np.exp(-v * self._phis)
         order = [0]
         while True:
-            nxt = succ[order[-1]]
+            nxt = int(succ[order[-1]])
             if nxt == 0:
                 break
             order.append(nxt)
         if len(order) != n:
             raise ValidationError("component is not a single cycle")
-        weights = [mat[i, succ[i]] for i in order]
+        weights = weight[order]
         lam = float(np.exp(np.mean(np.log(weights))))
         h = np.empty(n)
         h_left = np.empty(n)
@@ -195,21 +227,20 @@ class BlockShift:
         return lam, h / h.sum(), h_left / h_left.sum()
 
 
-def _perron_vector(matrix: sp.csr_matrix, tol=5e-15, max_iter=1_000_000):
-    """Power iteration with a Collatz-Wielandt stopping rule.
+def _perron_vector(op: TransferOperator, x0: np.ndarray | None = None, tol=5e-15, max_iter=1_000_000):
+    """Power iteration with a Collatz-Wielandt stopping rule, from x0 (a
+    positive vector) or the uniform one.
 
     A small diagonal shift makes the iteration aperiodic without moving the
     eigenvector; the bounds min/max of (Mx)/x certify the eigenvalue.
     """
-    n = matrix.shape[0]
+    n = op.n
     if n == 1:
-        return float(matrix[0, 0]), np.ones(1)
-    row_max = float(np.max(np.abs(matrix).sum(axis=1)))
-    shift = 0.01 * row_max
-    shifted = matrix + shift * sp.identity(n, format="csr")
-    x = np.full(n, 1.0 / n)
+        return float(op.weights.sum()), np.ones(1)
+    shift = 0.01 * float(np.bincount(op.rows, op.weights, minlength=n).max())
+    x = np.full(n, 1.0 / n) if x0 is None else x0
     for it in range(max_iter):
-        y = shifted @ x
+        y = op @ x + shift * x
         ratios = y / x
         lo, hi = float(ratios.min()), float(ratios.max())
         x = y / y.sum()
@@ -278,7 +309,7 @@ def pressure(comp: Component, pot: Potential, v: float, shift: BlockShift | None
         lam, right, left = bs._cycle_eigendata(v)
     else:
         lam, right = _perron_vector(mat)
-        _, left = _perron_vector(mat.T.tocsr())
+        _, left = _perron_vector(mat.T)
     res_r = float(np.max(np.abs(mat @ right - lam * right))) / float(np.max(right))
     res_l = float(np.max(np.abs(mat.T @ left - lam * left))) / float(np.max(left))
     if res_r > EIG_RESIDUAL_TOL or res_l > EIG_RESIDUAL_TOL:

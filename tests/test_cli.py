@@ -15,6 +15,8 @@ Claims covered:
       the validation exit code
     - a ray length below the entry prefix plus one block (``ps sample
       --length 0`` or ``-5``, a config ``ray_length`` of 0) exits 2
+    - a config ``classes`` below 1 (0 or -1) fails at [config], and ``rigid
+      build --classes`` below 1 fails, with the validation exit code
     - ``rigid verify`` refuses a set whose rank is not the metrics' rank, in
       either direction, with the validation exit code
     - exit codes: 2 for a non-isomorphic marking (tagged with its stage), 3
@@ -170,6 +172,25 @@ def test_config_ray_length_zero_rejected(tmp_path, capsys):
     config.write_text(json.dumps({"ray_length": 0}))
     assert cli.main(["pipeline", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err.startswith("error: [ray] ray length 0 is below 1")
+
+
+@pytest.mark.parametrize("classes", [0, -1])
+def test_config_classes_below_one_rejected(tmp_path, capsys, classes):
+    # 0 once ended at [plots] with exit 1; -1 once dropped the last class
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"classes": classes}))
+    assert cli.main(["pipeline", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: [config] config key classes must be at least 1, got {classes}\n"
+
+
+@pytest.mark.parametrize("classes", ["0", "-1"])
+def test_rigid_build_classes_below_one_rejected(tmp_path, capsys, classes):
+    # 0 once wrote an empty E.csv; -1 once built every class but the last
+    argv = ["rigid", "build", "--ray", str(tmp_path / "ray.txt"), "--budget", "log",
+            "--classes", classes, "--out", str(tmp_path / "E.csv")]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == f"error: --classes must be at least 1, got {classes}\n"
+    assert not (tmp_path / "E.csv").exists()
 
 
 def test_exit_code_validation(tmp_path, capsys):

@@ -20,9 +20,18 @@ Claims covered:
       the prefix, and telescoping defects are equal for every k >= K+1
     - an oracle without a window and a coding whose paths cancel are
       rejected
+    - ``import lsrigid`` loads no scipy and does load ``numpy.random``
+    - the numpy transfer operator: ``op @ x``, ``op.T @ x`` and ``toarray``
+      equal a dense reference on the block shifts of every fixture metric;
+      its power-iteration eigenvalue is the largest real eigenvalue of the
+      dense matrix to 1e-12
+    - the warm-started growth bisection finds the same v* bits as cold starts
 """
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -409,3 +418,66 @@ def test_potential_rejects_cancelling_coding(unit_rose2):
     for k in (None, 1, 4):
         with pytest.raises(ValidationError, match="cancels"):
             potential_from_metric(fixtures.coding_with_backtrack(2), unit_rose2, k=k)
+
+
+# -- numpy transfer operator ----------------------------------------------------
+
+
+FIXTURE_METRICS = ["unit_rose2", "rose12", "twisted", "subdivided_rose", "theta", "barbell"]
+
+
+def test_import_loads_no_scipy():
+    src = os.path.dirname(os.path.dirname(thermo.__file__))
+    code = (
+        "import sys, lsrigid; "
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')), 'numpy.random' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True,
+    ).stdout
+    assert out == "[] True\n"
+
+
+def _dense_reference(bs, v):
+    """The weighted transfer matrix, built entry by entry from the blocks."""
+    ms = bs.component.parent
+    dense = np.zeros((bs.n_blocks, bs.n_blocks))
+    for b, i in bs.index.items():
+        for j in ms.succ[b[-1]]:
+            if j in bs.component.indices:
+                dense[i, bs.index[b[1:] + (j,)]] = math.exp(-v * float(bs.potential.value(b + (j,))))
+    return dense
+
+
+@pytest.mark.parametrize("name", FIXTURE_METRICS)
+def test_operator_matches_dense_reference(free2, comp2, request, name):
+    bs = thermo.BlockShift(comp2, potential_from_metric(free2, request.getfixturevalue(name)))
+    rng = np.random.default_rng(0)
+    for v in (0.0, 0.4, 1.3):
+        op = bs.matrix(v)
+        dense = _dense_reference(bs, v)
+        assert np.allclose(op.toarray(), dense, rtol=1e-15, atol=0)
+        x = rng.random(bs.n_blocks)
+        assert np.allclose(op @ x, dense @ x, rtol=1e-14, atol=0)
+        assert np.allclose(op.T @ x, dense.T @ x, rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("name", ["rose12", "twisted", "theta"])
+def test_perron_eigenvalue_matches_dense(free2, comp2, request, name):
+    bs = thermo.BlockShift(comp2, potential_from_metric(free2, request.getfixturevalue(name)))
+    for v in (0.0, 0.6, 1.1):
+        lam, _ = thermo._perron_vector(bs.matrix(v))
+        ref = max(e.real for e in np.linalg.eigvals(_dense_reference(bs, v)))
+        assert abs(lam - ref) <= 1e-12 * ref
+
+
+@pytest.mark.parametrize("name", FIXTURE_METRICS)
+def test_warm_start_keeps_v_star_bits(free2, request, monkeypatch, name):
+    pot = potential_from_metric(free2, request.getfixturevalue(name))
+    warm = solve_growth_rate(free2, pot)
+    monkeypatch.setattr(
+        thermo.BlockShift, "leading_eigenvalue", lambda bs, v: thermo._perron_vector(bs.matrix(v))[0]
+    )
+    cold = solve_growth_rate(free2, pot)
+    assert warm.v_star.hex() == cold.v_star.hex()
