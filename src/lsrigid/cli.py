@@ -16,7 +16,6 @@ import json
 import math
 import sys
 import time
-from bisect import bisect_left
 from pathlib import Path
 
 import numpy as np
@@ -403,12 +402,10 @@ def run_pipeline(config_path, out_dir, seed_override: int | None = None) -> dict
         )
         budget = rigidity.parse_budget(str(config["budget"]))
         ts = [t for t in range(1, int(config["tmax"]) + 1, max(1, int(config["tmax"]) // 400))]
-        # #{ell < T} for every T at once: the witness lengths, sorted, bisected
-        ells = sorted(rigid.witness_lengths().values())
         line_plot(
             out / "budget_curve.svg",
             [
-                Series("#{ell < T}", ts, [bisect_left(ells, t) for t in ts]),
+                Series("#{ell < T}", ts, [rigid.count_below(t) for t in ts]),
                 Series(f"f(T) = {budget.name}", ts, [budget(t) for t in ts]),
             ],
             title="Sparsity budget",

@@ -178,7 +178,6 @@ class BlockShift:
         self._rows = np.array(rows, dtype=np.int64)
         self._cols = np.array(cols, dtype=np.int64)
         self._phis = np.array(vals, dtype=np.float64)
-        self._warm: np.ndarray | None = None  # last Perron vector of leading_eigenvalue
 
     @property
     def n_blocks(self) -> int:
@@ -191,14 +190,15 @@ class BlockShift:
     def is_single_cycle(self) -> bool:
         return len(self._rows) == self.n_blocks and len(set(self._rows.tolist())) == self.n_blocks
 
-    def leading_eigenvalue(self, v: float) -> float:
-        """Perron root at v.  The power iteration starts from the previous
-        call's vector: consecutive bisection steps have close eigenvectors."""
+    def leading_eigenvalue(
+        self, v: float, start: np.ndarray | None = None
+    ) -> tuple[float, np.ndarray | None]:
+        """Perron root at v and the Perron vector found with it (None on a
+        single cycle, whose root is exact); a power iteration begins at start."""
         if self.is_single_cycle():
             lam, _, _ = self._cycle_eigendata(v)
-            return lam
-        lam, self._warm = _perron_vector(self.matrix(v), self._warm)
-        return lam
+            return lam, None
+        return _perron_vector(self.matrix(v), start)
 
     def _cycle_eigendata(self, v: float):
         n = self.n_blocks
@@ -407,9 +407,16 @@ def solve_growth_rate(ms: MarkovStructure, pot: Potential, tol: float = PRESSURE
     base = _base_structure(ms)
     report = classify_components(base)
     shifts = [BlockShift(c.component, pot) for c in report.components]
+    # Each shift's power iteration begins at its Perron vector of the previous
+    # step: consecutive bisection steps have close eigenvectors.
+    starts: list[np.ndarray | None] = [None] * len(shifts)
+
+    def log_root(i: int, v: float) -> float:
+        lam, starts[i] = shifts[i].leading_eigenvalue(v, starts[i])
+        return math.log(lam)
 
     def max_pressure(v: float) -> float:
-        return max(math.log(s.leading_eigenvalue(v)) for s in shifts)
+        return max(log_root(i, v) for i in range(len(shifts)))
 
     p0 = max_pressure(0.0)
     if p0 <= 0:
@@ -429,8 +436,8 @@ def solve_growth_rate(ms: MarkovStructure, pot: Potential, tol: float = PRESSURE
     v_star = 0.5 * (lo + hi)
     pressures = {}
     arg_max = []
-    for classified, s in zip(report.components, shifts):
-        p = math.log(s.leading_eigenvalue(v_star))
+    for i, classified in enumerate(report.components):
+        p = log_root(i, v_star)
         pressures[classified.states] = p
         if p >= -1e-6:
             arg_max.append(classified)
