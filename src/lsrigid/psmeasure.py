@@ -291,11 +291,16 @@ class RaySample:
 
     def word_letters(self) -> tuple[int, ...]:
         """The labels along the ray, identity labels dropped."""
+        return self._prefix_letters(len(self.indices))
+
+    def _prefix_letters(self, n_states: int) -> tuple[int, ...]:
+        """The labels along the first n_states states of the ray: a prefix of
+        ``word_letters``, whose steps past those states are not read."""
         aug = self.structure
         table = np.full((aug.n_states, aug.n_states), _NO_EDGE, dtype=np.int8)
         for i, (targets, labels) in enumerate(zip(aug.succ, aug.labels)):
             table[i, list(targets)] = labels
-        steps = table[self.indices[:-1], self.indices[1:]]
+        steps = table[self.indices[: n_states - 1], self.indices[1:n_states]]
         if (steps == _NO_EDGE).any():
             raise ValidationError("the ray takes a step that is not an edge of the coding")
         return tuple(steps[steps != 0].tolist())
@@ -505,7 +510,7 @@ def load_ray(path, aug: AugmentedStructure) -> RaySample:
     if component is None:
         raise ValidationError(f"{path}: cannot match the ray to a component of the coding")
     idx = np.array(aug.resolve(states), dtype=np.int64)
-    return RaySample(
+    ray = RaySample(
         structure=aug,
         states=tuple(states),
         indices=idx,
@@ -513,3 +518,5 @@ def load_ray(path, aug: AugmentedStructure) -> RaySample:
         component=component,
         seed=seed,
     )
+    ray.word_letters()  # refuses a step that is not an edge of the coding
+    return ray

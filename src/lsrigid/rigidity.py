@@ -25,7 +25,7 @@ import numpy as np
 from .coding import find_loop_for_class
 from .errors import NotFoundError, ValidationError
 from .psmeasure import RaySample
-from .treemetric import MetricGraph, marked_rose, rose
+from .treemetric import MetricGraph, _cyclic_core, marked_rose, rose
 from .words import (
     ConjClass,
     Word,
@@ -39,6 +39,7 @@ from .words import (
 )
 
 BUDGET_SLACK = 1e-9
+_FIRST_WINDOW = 1 << 12  # ray states build_rigid_set reads before it doubles its window
 
 
 # -- budgets -------------------------------------------------------------------
@@ -153,6 +154,38 @@ def rough_ray(ray: RaySample, limit: int | None = None) -> RoughRay:
 # -- witness pairs ----------------------------------------------------------------
 
 
+class _RayPrefix:
+    """The first ``size`` states of a ray and the letters they spell.  The
+    prefix starts at 2^12 states and doubles, up to the whole ray, whenever
+    a scan for occurrences runs past it; so a set placed early on a long ray
+    reads a short prefix of it."""
+
+    def __init__(self, ray: RaySample):
+        self.indices = ray.indices
+        self.spell = ray._prefix_letters
+        self.size = min(_FIRST_WINDOW, len(self.indices))
+        self.letters = self.spell(self.size)
+
+    def occurrences(self, pattern: Sequence[int]):
+        """(n1, n2) for each occurrence of the state pattern at a start
+        n1 >= 1, in ray order, where n2 = n1 + len(pattern) - 1, as long as
+        n2 is within the ray's letters.  ``letters`` covers n2 when each
+        pair is yielded."""
+        first = 1
+        while True:
+            starts = _occurrence_starts(self.indices[: self.size], pattern)
+            for n1 in starts[np.searchsorted(starts, first):].tolist():
+                n2 = n1 + len(pattern) - 1
+                if n2 > len(self.letters):
+                    break
+                yield n1, n2
+                first = n1 + 1
+            if self.size == len(self.indices):
+                return
+            self.size = min(2 * self.size, len(self.indices))
+            self.letters = self.spell(self.size)
+
+
 def _occurrence_starts(indices: np.ndarray, pattern: Sequence[int]) -> np.ndarray:
     """Start positions of the exact state pattern inside the ray."""
     n = len(indices)
@@ -220,10 +253,40 @@ class RigidSet:
     def count_below(self, t: float) -> int:
         return sum(1 for ell in self._witness_lengths.values() if ell < t)
 
+    @cached_property
+    def _prefix_index(self) -> tuple[Word, tuple[int | None, ...]]:
+        """The longest witness, and the end along it of each witness (entry
+        order, two per entry).  A witness of a set built from one ray is a
+        prefix of the ray's word, so of the longest witness, and its end is
+        its length; the end of any other witness is None.  ``build_rigid_set``
+        sets the index itself; a set read from CSV or made by hand checks
+        each witness against the longest here."""
+        witnesses = [w for e in self.entries for w in (e.witness1, e.witness2)]
+        longest = max(witnesses, key=len, default=Word((), self.rank))
+        return longest, tuple(len(w) if longest.letters[: len(w)] == w.letters else None for w in witnesses)
+
+    @cached_property
+    def _class_ends(self) -> tuple[tuple[int | None, ...], list[int]]:
+        """The end along the longest witness of each witness class's first
+        witness, in ``witness_classes`` order, and the distinct ends in
+        ascending order.  The classes of ``_witness_order`` are the keys of
+        ``_witness_lengths``: the first object of each class in the entries.
+        So they are matched by identity; hashing every witness class again
+        would read all their letters."""
+        first: dict[int, int | None] = {}
+        witness_classes = (c for e in self.entries for c in (e.witness_class1, e.witness_class2))
+        for c, end in zip(witness_classes, self._prefix_index[1]):
+            first.setdefault(id(c), end)
+        ends = tuple(first[id(c)] for c in self._witness_order)
+        return ends, sorted({m for m in ends if m is not None})
+
     def to_csv(self, path) -> None:
         # Every field is letters, digits or "ell_S(...)", so none needs quoting
         # and the lines are those of csv.writer (excel dialect, CRLF endings).
-        spelled = iter(_spell_witnesses([w for e in self.entries for w in (e.witness1, e.witness2)]))
+        longest, ends = self._prefix_index
+        text = str(longest)
+        witnesses = (w for e in self.entries for w in (e.witness1, e.witness2))
+        spelled = iter([str(w) if end is None else text[:end] or "1" for w, end in zip(witnesses, ends)])
         header = ["class", "M", "N1", "N2", "witness1", "witness2", "ell_S(witness1)", "ell_S(witness2)"]
         rows = [header] + [
             [str(e.cls), e.power, e.n1, e.n2, next(spelled), next(spelled), e.ell1, e.ell2]
@@ -262,16 +325,6 @@ class RigidSet:
                 )
             )
         return cls(rank=rank, entries=tuple(entries), budget_desc=budget_desc, t_max=t_max)
-
-
-def _spell_witnesses(witnesses: list[Word]) -> list[str]:
-    """ASCII forms of the witnesses.  The witnesses of a set built from one ray
-    are prefixes of its word, so the longest is spelled once and sliced."""
-    longest = max(witnesses, key=len, default=None)
-    if longest is None or any(longest.letters[: len(w)] != w.letters for w in witnesses):
-        return [str(w) for w in witnesses]
-    text = str(longest)
-    return [text[: len(w)] or "1" for w in witnesses]
 
 
 def _letters_of(row: dict) -> list[int]:
@@ -318,10 +371,17 @@ def build_rigid_set(
     the conjugation depth).  Its canonical form is only needed to tell it
     from a chosen class or from the pair's other witness of the same length,
     and for the pair that is kept.
+
+    The ray is read only as far as the occurrences it uses, in a prefix
+    that doubles from 2^12 states: each class scans the prefix, and the
+    prefix is spelled once per doubling.  So the cost is O(classes x P),
+    P at most twice the last kept position (or the ray length), not
+    O(classes x ray length).  Steps past the prefix are not read, so they
+    are not checked against the coding here (``load_ray`` checks a file).
     """
     if isinstance(budget, str):
         budget = parse_budget(budget)
-    letters = ray.word_letters()
+    prefix = _RayPrefix(ray)
     rank = ray.structure.rank
     chosen: dict[ConjClass, int] = {}
     entries: list[RigidSetEntry] = []
@@ -330,15 +390,8 @@ def build_rigid_set(
             raise ValueError("rigid sets index non-trivial classes only")
         loop = find_loop_for_class(c, ray.component, m_max)
         pattern = ray.structure.resolve(loop.states)
-        starts = _occurrence_starts(ray.indices, pattern)
-        placed = False
-        for start in starts:
-            n1 = int(start)
-            if n1 < 1:
-                continue
-            n2 = n1 + len(pattern) - 1
-            if n2 > len(letters):
-                break
+        for n1, n2 in prefix.occurrences(pattern):
+            letters = prefix.letters
             # optimistic reject: larger values only make the budget easier
             optimistic = list(chosen.values()) + [n1, n2]
             if not _budget_feasible(optimistic, budget, t_max):
@@ -377,15 +430,14 @@ def build_rigid_set(
                     ell2=ell2,
                 )
             )
-            placed = True
             break
-        if not placed:
+        else:
             raise NotFoundError(
                 f"ray horizon exhausted after {len(entries)} classes; "
                 f"no budget-feasible occurrence for [{c}]",
                 horizon=len(ray),
             )
-    return RigidSet(
+    rigid = RigidSet(
         rank=rank,
         entries=tuple(entries),
         budget_desc=budget.name,
@@ -393,6 +445,11 @@ def build_rigid_set(
         ray_seed=ray.seed,
         ray_length=len(ray),
     )
+    # every witness is a prefix of the ray's word, so the index needs no check
+    witnesses = [w for e in entries for w in (e.witness1, e.witness2)]
+    longest = max(witnesses, key=len, default=Word((), rank))
+    object.__setattr__(rigid, "_prefix_index", (longest, tuple(map(len, witnesses))))
+    return rigid
 
 
 def witness_deviation(entry: RigidSetEntry, graph: MetricGraph):
@@ -509,6 +566,30 @@ class SeparationVerdict:
         return "SEPARATED" if self.separated else "AGREE"
 
 
+class _PrefixWalk:
+    """One tightening walk along a word in one metric, taken only as far as
+    asked.  ``length(m)`` is the translation length of the prefix word[:m],
+    for m among the ascending ends, as ``translation_length`` gives it: at
+    each end the walk passes, the cyclic core of its tight path is kept,
+    and it is summed when it is asked for."""
+
+    def __init__(self, graph: MetricGraph, letters: tuple[int, ...], ends: Sequence[int]):
+        self.graph = graph
+        self.letters = letters
+        self.ends = iter(ends)
+        self.stack: list[int] = []
+        self.walked = 0
+        self.loops: dict[int, list[int]] = {}
+
+    def length(self, m: int) -> Fraction | float:
+        while m not in self.loops:
+            end = next(self.ends)
+            self.graph._tighten(self.stack, self.letters[self.walked : end])
+            self.walked = end
+            self.loops[end] = _cyclic_core(self.stack)
+        return self.graph._length(self.loops[m])
+
+
 def verify_separation(
     rigid: RigidSet, t1: MetricGraph, t2: MetricGraph, tol=None
 ) -> SeparationVerdict:
@@ -516,6 +597,17 @@ def verify_separation(
 
     tol defaults to exact equality in rational mode, 1e-9 otherwise.  The set
     and both metrics must have one rank (ValidationError otherwise).
+
+    The witness classes are checked in ``witness_classes`` order, and the
+    check stops at the first that separates.  Each class's length is read
+    off its witness.  The witnesses of a set built from one ray are prefixes
+    of the longest, so each metric walks that word once, and only as far as
+    the witness of the class being checked.  So the cost is the letters of
+    the longest witness checked, twice, plus one sum over each loop: not
+    the letters of every witness class, twice.  A class whose witness is not
+    a prefix of the longest (a hand-made set) is tightened on its own.  On a
+    float graph a loop is summed from where its witness enters it, so it can
+    differ in the last bits from the length of another representative.
     """
     if t1.rank != t2.rank:
         raise ValidationError("metrics have different rank")
@@ -523,9 +615,15 @@ def verify_separation(
         raise ValidationError(f"rigid set has rank {rigid.rank}, the metrics rank {t1.rank}")
     if tol is None:
         tol = 0 if (t1.rational and t2.rational) else 1e-9
+    letters = rigid._prefix_index[0].letters
+    class_ends, ends = rigid._class_ends
+    walk1, walk2 = _PrefixWalk(t1, letters, ends), _PrefixWalk(t2, letters, ends)
     max_diff = 0.0
-    for c in rigid.witness_classes():
-        diff = abs(t1.translation_length(c) - t2.translation_length(c))
+    for c, m in zip(rigid._witness_order, class_ends):
+        if m is None:
+            diff = abs(t1.translation_length(c) - t2.translation_length(c))
+        else:
+            diff = abs(walk1.length(m) - walk2.length(m))
         if diff > tol:
             return SeparationVerdict(separated=True, first_separating=c, max_diff=float(diff))
         max_diff = max(max_diff, float(diff))

@@ -36,7 +36,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import ResourceCapError, ValidationError
 from .words import (
@@ -250,7 +250,13 @@ class MetricGraph:
 
     def _walk(self, x: Word | ConjClass) -> tuple[list[int], int | float]:
         """The tight edge path that the letters of x spell from the basepoint,
-        and its length in table units.
+        and its length in table units."""
+        stack: list[int] = []
+        return stack, self._tighten(stack, self._letters(x))
+
+    def _tighten(self, stack: list[int], letters: Iterable[int]) -> int | float:
+        """Extend the tight edge path ``stack`` in place by the marking paths
+        of the letters, and return the change of its length in table units.
 
         Each marking edge either cancels the last edge of the path or extends
         it, so the path stays tight (no backtracking) and its length is the
@@ -260,9 +266,8 @@ class MetricGraph:
         """
         lengths = self._lengths
         paths = self._marking_paths
-        stack: list[int] = []
         total = 0 if self.rational else 0.0
-        for letter in self._letters(x):
+        for letter in letters:
             for e in paths[letter]:
                 if stack and stack[-1] == -e:
                     stack.pop()
@@ -270,7 +275,7 @@ class MetricGraph:
                 else:
                     stack.append(e)
                     total += lengths[e]
-        return stack, total
+        return total
 
     def dist(self, w: Word) -> Fraction | float:
         """d(basepoint, w . basepoint) in the universal cover."""
@@ -290,12 +295,7 @@ class MetricGraph:
         representative enters it, so two conjugates can differ in the last
         bits; a rational graph is exact.
         """
-        path, _ = self._walk(c)
-        i, j = 0, len(path)
-        while j - i >= 2 and path[i] == -path[j - 1]:
-            i += 1
-            j -= 1
-        return self._length(path[i:j])
+        return self._length(_cyclic_core(self._walk(c)[0]))
 
     # -- serialisation ------------------------------------------------------
 
@@ -313,6 +313,17 @@ class MetricGraph:
                 for i, path in enumerate(self.marking, start=1)
             },
         }
+
+
+def _cyclic_core(path: list[int]) -> list[int]:
+    """The cyclically tight loop of a closed tight path at the basepoint:
+    the path with the edges at its two ends that cancel each other peeled,
+    read from where the path enters the loop."""
+    i, j = 0, len(path)
+    while j - i >= 2 and path[i] == -path[j - 1]:
+        i += 1
+        j -= 1
+    return path[i:j]
 
 
 def _length_repr(length):

@@ -20,7 +20,8 @@ Claims covered:
       window 4 with 324 blocks), five seeds and lengths around the chunk size; a ray length below the entry prefix plus
       one block is refused; ``word_letters`` equals the pairwise labels and
       refuses a step that is not an edge
-    - recurrence reports (depth < 1 rejected) and ray file round trips
+    - recurrence reports (depth < 1 rejected) and ray file round trips; a
+      ray file with a step that is not an edge is refused when it is loaded
 """
 
 import math
@@ -380,6 +381,13 @@ def test_ray_file_round_trip(aug2, comp2, td_unit, entry_table_unit, tmp_path):
     assert again.seed == 9
     assert again.entry_index == ray.entry_index
     assert set(again.component.states) == set(ray.component.states)
+    # the last step backtracks: the builder reads only a prefix of a ray, so
+    # the file is checked as it is loaded
+    lines = path.read_text().splitlines()
+    lines.append(lines[-1].swapcase())
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValidationError, match="not an edge"):
+        load_ray(path, aug2)
 
 
 def _doubled_rose(unit_rose2):

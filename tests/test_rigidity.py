@@ -14,12 +14,23 @@ Claims covered:
       rank-deficient set is refused
     - the builder, which reads witness lengths off the ray and canonicalises
       only the classes it must compare or keep, gives the entries, witness
-      order and E.csv bytes of the reference builder that canonicalises every
-      candidate: rank-2 and rank-3 roses and the twisted rose, log, sqrt and
+      order and E.csv bytes of the reference builder that canonicalises
+      every candidate, and the prefix index it sets is the one a copy of its
+      set checks: rank-2 and rank-3 roses and the twisted rose, log, sqrt and
       linear budgets, three seeds each; among them a twisted-rose ray on
       which a kept pair is feasible only because it repeats a chosen class
     - the seed-7 build runs the least-rotation search on at most two passes
       per kept witness class plus the loop checks of find_loop_for_class
+    - the builder reads the ray in a doubling prefix: a ray cut right after
+      the last kept position gives the same entries, and a ray cut before it
+      raises NotFoundError with the horizon of the reference builder
+    - verify_separation, which walks the longest witness once per metric,
+      gives the verdict, first separating class and largest difference of
+      the per-class loop on random distinct pairs at ranks 2 and 3, on
+      inner-twist pairs (one point of Outer Space, so AGREE), on binary64
+      copies, on a set read back from CSV, and on a hand-made set whose
+      witnesses are not prefixes of one word; every prefix length it reads
+      equals translation_length of the class
 """
 
 import csv
@@ -28,6 +39,7 @@ import functools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -39,6 +51,7 @@ from lsrigid.rigidity import (
     BUDGET_SLACK,
     RigidSet,
     RigidSetEntry,
+    SeparationVerdict,
     _budget_feasible,
     _occurrence_starts,
     parse_budget,
@@ -173,6 +186,8 @@ def _assert_matches_reference(ray, classes, budget, t_max, tmp_path):
     rigid = rigidity.build_rigid_set(ray, classes, budget, t_max=t_max)
     expected = _reference_build(ray, classes, budget, t_max)
     assert list(rigid.entries) == expected
+    # the index the builder sets is the one a copy of the set checks for
+    assert rigid._prefix_index == dataclasses.replace(rigid)._prefix_index
     kept = {}
     for e in expected:
         kept.setdefault(e.witness_class1, e.ell1)
@@ -255,3 +270,113 @@ def test_seed7_build_canonicalises_only_kept_witnesses(ray7, monkeypatch):
     passed.clear()
     rigid = rigidity.build_rigid_set(ray7, classes, "log", t_max=10_000)
     assert sum(passed) <= 2 * sum(e.ell1 + e.ell2 for e in rigid.entries) + loop_checks
+
+
+def test_builder_reads_only_the_ray_prefix_it_uses(tmp_path):
+    aug, transfer, entry_table = _chain("rose2")
+    classes = words.enumerate_classes(2, 3, identify_inverse=True)[:5]
+    ray = psmeasure.sample_ray(aug, transfer, entry_table, 30_000, seed=2)
+    rigid = _assert_matches_reference(ray, classes, "log", 10_000, tmp_path)
+    last = max(e.n2 for e in rigid.entries)
+    assert last > rigidity._FIRST_WINDOW  # the prefix doubled at least once
+
+    def cut(states):
+        return dataclasses.replace(ray, states=ray.states[:states], indices=ray.indices[:states])
+
+    assert rigidity.build_rigid_set(cut(last + 1), classes, "log", t_max=10_000).entries == rigid.entries
+    short = cut(last)
+    with pytest.raises(NotFoundError) as got:
+        rigidity.build_rigid_set(short, classes, "log", t_max=10_000)
+    with pytest.raises(NotFoundError) as expected:
+        _reference_build(short, classes, "log", 10_000)
+    assert got.value.horizon == expected.value.horizon == len(short)
+
+
+# -- verification against the per-class loop ------------------------------------------
+
+
+def _reference_verify(rigid, t1, t2):
+    """The per-class loop: every witness class tightened from scratch in each
+    metric, in witness_classes order, up to the first that separates."""
+    tol = 0 if (t1.rational and t2.rational) else 1e-9
+    max_diff = 0.0
+    for c in rigid.witness_classes():
+        diff = abs(t1.translation_length(c) - t2.translation_length(c))
+        if diff > tol:
+            return SeparationVerdict(separated=True, first_separating=c, max_diff=float(diff))
+        max_diff = max(max_diff, float(diff))
+    return SeparationVerdict(separated=False, first_separating=None, max_diff=max_diff)
+
+
+def _inner_twist_pair(lengths, conjugator):
+    """A rose and the same rose re-marked by x -> g x g^-1: one point of Outer Space."""
+    rank = len(lengths)
+    g = words.Word(conjugator, rank)
+    subst = {i: g * words.generator(i, rank) * ~g for i in range(1, rank + 1)}
+    return treemetric.rose(lengths), treemetric.marked_rose(lengths, subst, tag="inner_twist")
+
+
+def _pairs(rank, n, key):
+    rng = lambda i: np.random.Generator(np.random.Philox(key=[key, i]))
+    return [rigidity.random_distinct_pair(rng(i), rank) for i in range(n)]
+
+
+@functools.cache
+def _rank3_set():
+    aug, transfer, entry_table = _chain("rose3")
+    ray = psmeasure.sample_ray(aug, transfer, entry_table, 6_000, seed=1)
+    classes = words.enumerate_classes(3, 3, identify_inverse=True)[:8]
+    return rigidity.build_rigid_set(ray, classes, "sqrt", t_max=2_000)
+
+
+def _assert_verifies_as_reference(rigid, pairs):
+    verdicts = []
+    for t1, t2 in pairs:
+        for a, b in ((t1, t2), (treemetric.as_float(t1), treemetric.as_float(t2))):
+            got = rigidity.verify_separation(rigid, a, b)
+            assert got == _reference_verify(rigid, a, b)
+            verdicts.append(got.verdict)
+    return verdicts
+
+
+def test_verify_matches_the_per_class_loop(rigid7):
+    assert "SEPARATED" in _assert_verifies_as_reference(rigid7, _pairs(2, 30, 11))
+    assert _assert_verifies_as_reference(_rank3_set(), _pairs(3, 5, 12)).count("SEPARATED") >= 1
+    twists = [_inner_twist_pair((Fraction(3, 2), Fraction(1, 2)), g) for g in ((1,), (2, -1), (-2, -2, 1))]
+    twists.append(_inner_twist_pair((Fraction(1), Fraction(3, 4), Fraction(2)), (3, 1, -2, 1)))
+    assert set(_assert_verifies_as_reference(rigid7, twists[:3])) == {"AGREE"}
+    assert set(_assert_verifies_as_reference(_rank3_set(), twists[3:])) == {"AGREE"}
+
+
+def test_verify_a_set_read_back_from_csv(rigid7, tmp_path):
+    rigid7.to_csv(tmp_path / "E.csv")
+    again = RigidSet.from_csv(tmp_path / "E.csv", rank=2)
+    assert all(end is not None for end in again._class_ends[0])
+    pairs = _pairs(2, 10, 13) + [_inner_twist_pair((Fraction(5, 4), Fraction(3)), (1, 2))]
+    assert _assert_verifies_as_reference(again, pairs)[-2:] == ["AGREE", "AGREE"]
+
+
+def test_verify_a_hand_made_set_whose_witnesses_are_not_one_ray_prefix(rigid7, tmp_path):
+    aug, transfer, entry_table = _chain("rose2")
+    ray = psmeasure.sample_ray(aug, transfer, entry_table, 22_000, seed=5)
+    classes = words.enumerate_classes(2, 3, identify_inverse=True)[:5]
+    other = rigidity.build_rigid_set(ray, classes, "sqrt", t_max=10_000)
+    mixed = dataclasses.replace(rigid7, entries=other.entries[:3] + rigid7.entries)
+    assert None in mixed._prefix_index[1] and None in mixed._class_ends[0]
+    pairs = _pairs(2, 10, 15) + [_inner_twist_pair((Fraction(1, 2), Fraction(2)), (-1, 2, 2))]
+    assert _assert_verifies_as_reference(mixed, pairs)[-2:] == ["AGREE", "AGREE"]
+    mixed.to_csv(tmp_path / "E.csv")
+    _reference_csv(mixed.entries, tmp_path / "reference.csv")
+    assert (tmp_path / "E.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+
+def test_prefix_walk_reads_the_translation_length_of_every_class(rigid7):
+    twist2 = _inner_twist_pair((Fraction(3, 4), Fraction(3, 2)), (2, 1))
+    twist3 = _inner_twist_pair((Fraction(1, 2), Fraction(5, 4), Fraction(3)), (-3, 2))
+    for rigid, graphs in ((rigid7, [*twist2, *_pairs(2, 1, 16)[0]]), (_rank3_set(), [*twist3, *_pairs(3, 1, 17)[0]])):
+        letters = rigid._prefix_index[0].letters
+        class_ends, ends = rigid._class_ends
+        for graph in graphs + [treemetric.as_float(g) for g in graphs]:
+            walk = rigidity._PrefixWalk(graph, letters, ends)
+            for c, m in zip(rigid.witness_classes(), class_ends):
+                assert walk.length(m) == graph.translation_length(c)

@@ -7,6 +7,9 @@ Claims covered:
     - the traced run writes the same artifacts, byte for byte, as the
       untraced run of the same config
     - the per-layer figures of that traced run can all be computed
+    - the same-point workload (10^6-step ray, sqrt budget, four inner-twist
+      pairs) gives the same outputs traced and untraced, passes its checks,
+      and yields finite per-layer figures
 """
 
 import json
@@ -41,3 +44,24 @@ def test_traced_pipeline_writes_the_untraced_artifacts(tmp_path):
     assert all(math.isfinite(v) for v in metrics.values())
     assert len(found.verdicts) == 3
     assert 0 < workloads.coverage(tr) <= 1
+
+
+def test_traced_same_point_gives_the_untraced_outputs(tmp_path):
+    def run(tr, found, out):
+        out.mkdir()
+        checks = workloads.Checks()
+        ms, aug = workloads.setup("same-point-verify")
+        outputs = workloads.run_same_point("same-point-verify", 1, out, tr, checks, found, ms, aug)
+        assert all(row["failed"] == 0 for row in checks.rows), checks.rows
+        return outputs
+
+    plain = run(tracing.NullTracer(), workloads.Found(), tmp_path / "plain")
+    tr, found = tracing.Tracer(), workloads.Found()
+    with tracing.patch(workloads.instrument(tr, found)):
+        traced = run(tr, found, tmp_path / "traced")
+
+    assert traced == plain
+    assert plain["verdicts"] == ["AGREE"] * 4
+    metrics = workloads.layer_metrics(tr, found)
+    assert all(math.isfinite(v) for v in metrics.values())
+    assert metrics["rigidity.pairs"] == 4
