@@ -71,7 +71,6 @@ from .thermo import (
 )
 from .treemetric import (
     MetricGraph,
-    MetricOracle,
     ball_counts,
     graph_from_json,
     load_graph,

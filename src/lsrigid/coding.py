@@ -21,7 +21,7 @@ from typing import Container, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import ConvergenceError, NotFoundError, ValidationError
+from .errors import NotFoundError, ValidationError
 from .words import (
     MAX_RANK,
     ConjClass,
@@ -432,9 +432,6 @@ class Component:
                     a[pos[g], pos[j]] = 1
         return a
 
-    def is_single_cycle(self) -> bool:
-        return all(len(self.succ_within(self.parent.index(s))) == 1 for s in self.states)
-
 
 def scc_decompose(ms: MarkovStructure) -> tuple[list[Component], list[str]]:
     """Tarjan decomposition of the non-initial, non-zero states.
@@ -510,45 +507,6 @@ def scc_decompose(ms: MarkovStructure) -> tuple[list[Component], list[str]]:
     return components, transient
 
 
-def spectral_radius_enclosure(adj: np.ndarray, exact: bool | None = None, tol=1e-12, max_iter=200_000):
-    """Certified Collatz-Wielandt enclosure (lo, hi) of the Perron root.
-
-    Runs on A + I (always primitive for an irreducible A), so it converges on
-    periodic components too.  ``exact`` switches to Fraction arithmetic, which
-    keeps the enclosure rigorous; by default it is used for matrices of at
-    most 64 states.
-    """
-    n = adj.shape[0]
-    if exact is None:
-        exact = n <= 64
-    row_sums = adj.sum(axis=1)
-    if np.all(row_sums == row_sums[0]):
-        rho = Fraction(int(row_sums[0]))
-        return rho, rho
-    succ = [np.nonzero(adj[i])[0].tolist() for i in range(n)]
-    if exact:
-        x = [Fraction(1) for _ in range(n)]
-        for it in range(max_iter):
-            y = [x[i] + sum(x[j] for j in succ[i]) for i in range(n)]
-            ratios = [y[i] / x[i] for i in range(n)]
-            lo, hi = min(ratios), max(ratios)
-            if hi - lo <= Fraction(tol.as_integer_ratio()[0], tol.as_integer_ratio()[1]) * hi:
-                return lo - 1, hi - 1
-            top = max(y)
-            x = [v / top for v in y]
-        raise ConvergenceError("spectral radius enclosure did not converge", iterations=max_iter)
-    m = adj.astype(float) + np.eye(n)
-    x = np.ones(n)
-    for it in range(max_iter):
-        y = m @ x
-        ratios = y / x
-        lo, hi = ratios.min(), ratios.max()
-        if hi - lo <= tol * hi:
-            return lo - 1.0, hi - 1.0
-        x = y / y.max()
-    raise ConvergenceError("spectral radius enclosure did not converge", iterations=max_iter)
-
-
 @dataclass(frozen=True)
 class ClassifiedComponent:
     component: Component
@@ -570,25 +528,33 @@ class ComponentReport:
         return [c for c in self.components if c.word_maximal]
 
 
-def classify_components(ms: MarkovStructure, exact: bool | None = None, rel_tol=1e-9) -> ComponentReport:
+def classify_components(ms: MarkovStructure) -> ComponentReport:
     """Spectral radius and word-maximality flag per component.
 
-    A component is word maximal when its loop-growth rate log(rho) attains the
-    overall growth rate; maximal components are checked to be pairwise
-    non-adjacent (no connecting path), which the downstream measure theory
-    relies on.
+    The spectral radius is the Perron root of the component's adjacency: the
+    common out-degree, as an exact Fraction, when every state has the same
+    number of successors in the component, and otherwise the largest
+    modulus among the eigenvalues of the small dense adjacency, a float.  A
+    component is word maximal when its loop-growth rate log(rho) attains the
+    overall growth rate within a relative 1e-9; maximal components are
+    checked to be pairwise non-adjacent (no connecting path), which the
+    downstream measure theory relies on.
     """
     components, transient = scc_decompose(ms)
     if not components:
         raise ValidationError("structure has no strongly connected component")
     radii = []
     for comp in components:
-        lo, hi = spectral_radius_enclosure(comp.adjacency(), exact=exact)
-        radii.append(hi if lo == hi else (float(lo) + float(hi)) / 2.0)
+        adj = comp.adjacency()
+        degree = adj.sum(axis=1)
+        if (degree == degree[0]).all():
+            radii.append(Fraction(int(degree[0])))
+        else:
+            radii.append(float(np.abs(np.linalg.eigvals(adj)).max()))
     v_s = max(math.log(float(r)) for r in radii)
     classified = []
     for comp, rho in zip(components, radii):
-        maximal = abs(math.log(float(rho)) - v_s) <= rel_tol * max(1.0, abs(v_s))
+        maximal = abs(math.log(float(rho)) - v_s) <= 1e-9 * max(1.0, abs(v_s))
         classified.append(ClassifiedComponent(component=comp, spectral_radius=rho, word_maximal=maximal))
     _assert_maximal_disjoint(ms, [c for c in classified if c.word_maximal])
     return ComponentReport(

@@ -10,10 +10,9 @@ class ValidationError(LsrigidError):
 
     exit_code = 2
 
-    def __init__(self, message, counterexample=None, report=None):
+    def __init__(self, message, counterexample=None):
         super().__init__(message)
         self.counterexample = counterexample
-        self.report = report
 
 
 class ResourceCapError(LsrigidError):

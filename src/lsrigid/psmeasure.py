@@ -30,11 +30,12 @@ import numpy.random  # noqa: F401  loaded lazily by numpy; load it with the pack
 from .coding import AugmentedStructure, Component, MarkovStructure, classify_components
 from .errors import ValidationError
 from .thermo import TransferData
-from .treemetric import Increments, Metric, window_increments
+from .treemetric import Increments, MetricGraph, window_increments
 from .words import Word, enumerate_ball
 
 DEFAULT_BALL_CAP = 400_000
 RAY_CHUNK = 1 << 14  # uniforms drawn at once by sample_ray
+_ENTRY_RADIUS = 16  # least radius of an entry prefix's cylinder-mass estimate
 _NO_EDGE = 127  # RaySample.word_letters: no edge joins the two states (labels are |l| <= 26)
 
 
@@ -52,7 +53,7 @@ class BallMeasure:
         return self.weights.get(w, 0.0)
 
 
-def ball_measure(metric: Metric, v: float, n: int, cap: int = DEFAULT_BALL_CAP) -> BallMeasure:
+def ball_measure(metric: MetricGraph, v: float, n: int, cap: int = DEFAULT_BALL_CAP) -> BallMeasure:
     words_in_ball = enumerate_ball(metric.rank, n, cap=cap)
     raw = {w: math.exp(-v * float(metric.dist(w))) for w in words_in_ball}
     z = sum(raw.values())
@@ -83,7 +84,7 @@ def _layer_sums(moves, start, inc: Increments, v: float, steps: int) -> list[flo
     return sums
 
 
-def partition_sums(metric: Metric, v: float, n_max: int) -> list[float]:
+def partition_sums(metric: MetricGraph, v: float, n_max: int) -> list[float]:
     """Z_n = sum over the radius-n word ball of exp(-v dist), for n = 0..n_max.
 
     Exact for every metric without listing the ball: the walk appends one
@@ -106,7 +107,7 @@ class PartitionSumReport:
     increment_slope: float
 
 
-def partition_sum_check(metric: Metric, v: float, n_max: int = 14) -> PartitionSumReport:
+def partition_sum_check(metric: MetricGraph, v: float, n_max: int = 14) -> PartitionSumReport:
     """Table of Z_n/n with the measured band; flags non-critical multipliers.
 
     At the critical v the increments Z_n - Z_{n-1} approach a positive
@@ -155,10 +156,9 @@ class MassEstimate:
 def cylinder_mass_estimate(
     prefix: Sequence[str | int],
     aug: AugmentedStructure,
-    metric: Metric,
+    metric: MetricGraph,
     v: float,
     n: int,
-    maximal_states: frozenset | None = None,
 ) -> MassEstimate:
     """Ball-measure mass of the cylinder of paths extending the given prefix.
 
@@ -171,7 +171,7 @@ def cylinder_mass_estimate(
     which no word-maximal component is reachable are flagged null; their mass
     decays to 0 as n grows.
     """
-    est = _cylinder_weight(prefix, aug, metric, v, n, maximal_states)
+    est = _cylinder_weight(prefix, aug, metric, v, n, _maximal_state_indices(aug))
     return replace(est, value=est.value / partition_sums(metric, v, n)[n])
 
 
@@ -191,8 +191,6 @@ def _cylinder_weight(prefix, aug, metric, v, n, maximal_states) -> MassEstimate:
     else:
         live = idx
     word = aug.ev(live)
-    if maximal_states is None:
-        maximal_states = _maximal_state_indices(aug)
     if zero in idx:
         value = math.exp(-v * float(metric.dist(word))) if len(word) <= n else 0.0
         return MassEstimate(value=value, n=n, prefix=tuple(aug.states[i] for i in idx), null_cylinder=False)
@@ -243,7 +241,7 @@ class MassBandReport:
 
 def measure_mass_band(
     aug: AugmentedStructure,
-    metric: Metric,
+    metric: MetricGraph,
     td: TransferData,
     depth: int = 6,
     n: int = 14,
@@ -308,13 +306,12 @@ class RaySample:
 
 def entry_weight_table(
     aug: AugmentedStructure,
-    metric: Metric,
+    metric: MetricGraph,
     v: float,
     max_depth: int = 12,
-    n_ref: int = 16,
 ) -> list[tuple[tuple[str, ...], float]]:
     """Prefixes from the initial state into a word-maximal component, weighted
-    by their cylinder-mass estimates.
+    by their cylinder-mass estimates, each at radius max(16, depth + 4).
 
     The order is depth-first pre-order of the walk from the initial state,
     successors in ``succ`` order, each branch stopping at its first maximal
@@ -323,13 +320,13 @@ def entry_weight_table(
     zero = aug.zero_index
     table: list[tuple[tuple[str, ...], float]] = []
     deep_transient = False
-    z = partition_sums(metric, v, max(n_ref, max_depth + 5))  # covers every entry's radius below
+    z = partition_sums(metric, v, max(_ENTRY_RADIUS, max_depth + 5))  # covers every entry's radius below
 
     def visit(path: list[int]) -> None:
         nonlocal deep_transient
         last = path[-1]
         if last in maximal:
-            n = max(n_ref, len(path) + 4)
+            n = max(_ENTRY_RADIUS, len(path) + 4)
             est = _cylinder_weight(path, aug, metric, v, n, maximal)
             table.append((tuple(aug.states[i] for i in path), est.value / z[n]))
             return

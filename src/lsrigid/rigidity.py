@@ -296,8 +296,7 @@ class RigidSet:
             fh.write("".join(",".join(map(str, row)) + "\r\n" for row in rows))
 
     @classmethod
-    def from_csv(cls, path, rank: int | None = None, budget_desc: str = "unknown",
-                 t_max: float = float("inf")) -> "RigidSet":
+    def from_csv(cls, path, rank: int | None = None) -> "RigidSet":
         with open(path, newline="") as fh:
             rows = list(csv.DictReader(fh))
         if not rows:
@@ -324,7 +323,7 @@ class RigidSet:
                     ell2=int(r["ell_S(witness2)"]),
                 )
             )
-        return cls(rank=rank, entries=tuple(entries), budget_desc=budget_desc, t_max=t_max)
+        return cls(rank=rank, entries=tuple(entries), budget_desc="unknown", t_max=float("inf"))
 
 
 def _letters_of(row: dict) -> list[int]:
@@ -527,12 +526,11 @@ class Recovery:
 def recover_lengths(
     rigid: RigidSet,
     targets: dict | Callable[[ConjClass], float],
-    tol: float = 1e-8,
 ) -> Recovery:
     """Nonnegative least squares for rose edge lengths from witness lengths.
 
     Unique when the occurrence matrix has full rank (checked); inconsistent
-    targets surface as a residual above tol with ``consistent`` unset.
+    targets surface as a residual above 1e-8 with ``consistent`` unset.
     scipy is imported here, so that importing the package does not load it.
     """
     import scipy.optimize
@@ -548,7 +546,7 @@ def recover_lengths(
     return Recovery(
         lengths=tuple(float(x) for x in lengths),
         residual=float(residual),
-        consistent=bool(residual <= tol),
+        consistent=bool(residual <= 1e-8),
     )
 
 
@@ -590,13 +588,10 @@ class _PrefixWalk:
         return self.graph._length(self.loops[m])
 
 
-def verify_separation(
-    rigid: RigidSet, t1: MetricGraph, t2: MetricGraph, tol=None
-) -> SeparationVerdict:
-    """AGREE iff the two metrics share every witness length within tol.
-
-    tol defaults to exact equality in rational mode, 1e-9 otherwise.  The set
-    and both metrics must have one rank (ValidationError otherwise).
+def verify_separation(rigid: RigidSet, t1: MetricGraph, t2: MetricGraph) -> SeparationVerdict:
+    """AGREE iff the two metrics share every witness length: exactly when
+    both graphs are rational, within 1e-9 otherwise.  The set and both
+    metrics must have one rank (ValidationError otherwise).
 
     The witness classes are checked in ``witness_classes`` order, and the
     check stops at the first that separates.  Each class's length is read
@@ -613,8 +608,7 @@ def verify_separation(
         raise ValidationError("metrics have different rank")
     if rigid.rank != t1.rank:
         raise ValidationError(f"rigid set has rank {rigid.rank}, the metrics rank {t1.rank}")
-    if tol is None:
-        tol = 0 if (t1.rational and t2.rational) else 1e-9
+    tol = 0 if t1.rational and t2.rational else 1e-9
     letters = rigid._prefix_index[0].letters
     class_ends, ends = rigid._class_ends
     walk1, walk2 = _PrefixWalk(t1, letters, ends), _PrefixWalk(t2, letters, ends)
@@ -687,10 +681,8 @@ def _certified_distinct(t1: MetricGraph, t2: MetricGraph, max_len: int = 4) -> b
     return any(t1.translation_length(c) != t2.translation_length(c) for c in _short_classes(t1.rank, max_len))
 
 
-def random_distinct_pair(
-    rng: np.random.Generator, rank: int = 2, max_tries: int = 64
-) -> tuple[MetricGraph, MetricGraph]:
-    for _ in range(max_tries):
+def random_distinct_pair(rng: np.random.Generator, rank: int = 2) -> tuple[MetricGraph, MetricGraph]:
+    for _ in range(64):
         t1 = random_marked_metric(rng, rank)
         t2 = random_marked_metric(rng, rank)
         if _certified_distinct(t1, t2):

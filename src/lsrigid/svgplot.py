@@ -34,10 +34,8 @@ def line_plot(
     title: str,
     xlabel: str,
     ylabel: str,
-    width: int = 720,
-    height: int = 460,
 ) -> None:
-    margin = 64
+    width, height, margin = 720, 460, 64
     inner_w = width - 2 * margin
     inner_h = height - 2 * margin
     xs_all = [x for s in series for x in s.xs]

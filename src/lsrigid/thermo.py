@@ -29,7 +29,7 @@ import numpy as np
 
 from .coding import AugmentedStructure, Component, MarkovStructure, ZERO, classify_components
 from .errors import ConvergenceError, LsrigidError, ValidationError
-from .treemetric import Metric, window_increments
+from .treemetric import MetricGraph, window_increments
 
 EIG_RESIDUAL_TOL = 1e-10
 CHAIN_TOL = 1e-12
@@ -83,7 +83,7 @@ def _blocks(ms: MarkovStructure, k: int):
     return ms.paths(k, starts=live, within=frozenset(live))
 
 
-def potential_from_metric(ms: MarkovStructure, metric: Metric, k: int | None = None) -> Potential:
+def potential_from_metric(ms: MarkovStructure, metric: MetricGraph, k: int | None = None) -> Potential:
     """The distance increment along the coding, as a potential on blocks.
 
     On a block (x_0, ..., x_k) whose edges spell l_1..l_k the value is
@@ -231,8 +231,13 @@ def _perron_vector(op: TransferOperator, x0: np.ndarray | None = None, tol=5e-15
     """Power iteration with a Collatz-Wielandt stopping rule, from x0 (a
     positive vector) or the uniform one.
 
-    A small diagonal shift makes the iteration aperiodic without moving the
-    eigenvector; the bounds min/max of (Mx)/x certify the eigenvalue.
+    A diagonal shift s makes the iteration aperiodic without moving the
+    eigenvector; the bounds min/max of (Mx)/x certify the eigenvalue.  The
+    iteration converges at rate |lambda_2 + s| / (lambda_1 + s), and a row
+    sum can exceed the root by orders of magnitude when the weights span
+    many.  So s starts at 0.01 times the largest row sum and, after the
+    first product, drops to half the Collatz-Wielandt lower bound min (Mx)/x
+    of the root when that is smaller and positive (a weight can underflow).
     """
     n = op.n
     if n == 1:
@@ -240,12 +245,15 @@ def _perron_vector(op: TransferOperator, x0: np.ndarray | None = None, tol=5e-15
     shift = 0.01 * float(np.bincount(op.rows, op.weights, minlength=n).max())
     x = np.full(n, 1.0 / n) if x0 is None else x0
     for it in range(max_iter):
-        y = op @ x + shift * x
+        mx = op @ x
+        y = mx + shift * x
         ratios = y / x
         lo, hi = float(ratios.min()), float(ratios.max())
-        x = y / y.sum()
         if hi - lo <= tol * hi:
-            return 0.5 * (lo + hi) - shift, x
+            return 0.5 * (lo + hi) - shift, y / y.sum()
+        if it == 0 and (mx > 0).all():
+            shift = min(shift, 0.5 * float((mx / x).min()))
+        x = y / y.sum()
     raise ConvergenceError(
         f"power iteration did not converge (width {hi - lo:.3e})", iterations=max_iter
     )
@@ -301,9 +309,9 @@ class TransferData:
         return self._chain
 
 
-def pressure(comp: Component, pot: Potential, v: float, shift: BlockShift | None = None) -> TransferData:
+def pressure(comp: Component, pot: Potential, v: float) -> TransferData:
     """P(-v * potential) on the component, with certified Perron eigendata."""
-    bs = shift if shift is not None else BlockShift(comp, pot)
+    bs = BlockShift(comp, pot)
     mat = bs.matrix(v)
     if bs.is_single_cycle():
         lam, right, left = bs._cycle_eigendata(v)
@@ -395,7 +403,7 @@ class GrowthResult:
         return [c.states for c in self.maximal_components]
 
 
-def solve_growth_rate(ms: MarkovStructure, pot: Potential, tol: float = PRESSURE_ROOT_TOL) -> GrowthResult:
+def solve_growth_rate(ms: MarkovStructure, pot: Potential) -> GrowthResult:
     """The multiplier v* with max-over-components pressure P(-v* phi) = 0.
 
     Pressure is strictly decreasing in v (the potential has positive Birkhoff
@@ -427,7 +435,7 @@ def solve_growth_rate(ms: MarkovStructure, pot: Potential, tol: float = PRESSURE
         if hi > 2**40:
             raise ValidationError("bracket failure: pressure never becomes negative")
     lo = 0.0
-    while hi - lo > tol * 0.1:
+    while hi - lo > PRESSURE_ROOT_TOL * 0.1:
         mid = 0.5 * (lo + hi)
         if max_pressure(mid) > 0:
             lo = mid
@@ -527,7 +535,7 @@ class TelescopingReport:
 
 def sweep_telescoping(
     ms: MarkovStructure,
-    metric: Metric,
+    metric: MetricGraph,
     ks: Sequence[int] | None = None,
     n_steps: int = 200,
     n_paths: int = 1000,

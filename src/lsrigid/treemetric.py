@@ -20,7 +20,7 @@ the rank.
 Exact sums over balls rest on bounded cancellation: appending a letter to a
 reduced word changes its distance by an amount that depends only on the last
 K letters (``window_increments``).  A graph proves its window K from its
-marking; a black-box oracle has to declare one.
+marking.
 
 The rose with unit lengths realises the word metric; a rose with a basis
 substitution (an automorphism applied to the marking) gives non-trivially
@@ -43,7 +43,6 @@ from .words import (
     ConjClass,
     Word,
     alphabet,
-    enumerate_sphere,
     letter_to_char,
     parse_substitution,
     sphere_size,
@@ -338,27 +337,6 @@ def _edge_token(signed: int, edges: tuple[Edge, ...]) -> str:
 
 
 @dataclass(frozen=True)
-class MetricOracle:
-    """Black-box left-invariant metric: dist(x) = d(o, x.o).
-
-    Satisfies dist(identity) = 0 and dist(x) = dist(x^-1).  User oracles plug
-    in wherever a graph is accepted.  The exact sums (``window_increments``)
-    need ``window``: a K such that dist(s x) - dist(s) depends only on x and
-    the last K letters of s.  Nothing checks it; an oracle without one is
-    rejected there.
-    """
-
-    dist: Callable[[Word], Fraction | float]
-    rank: int
-    tag: str = "oracle"
-    window: int | None = None
-    _increments: "Increments | None" = field(default=None, init=False, repr=False, compare=False)
-
-
-Metric = MetricGraph | MetricOracle
-
-
-@dataclass(frozen=True)
 class Increments:
     """The change dist(s x) - dist(s) when a reduced word s gains a letter x.
 
@@ -384,41 +362,10 @@ class Increments:
         return [self.step(state, x) for x in self.letters if not state or x != -state[-1]]
 
 
-def window_increments(metric: Metric) -> Increments:
-    """The increments of ``metric``, cached on it.
-
-    A graph gets the least window that explains its increments, found from
-    a window it proves (``_graph_increments``); an oracle gets the window it
-    declares, and ValidationError when it declares none.  Raises
-    ResourceCapError when the words up to the window outnumber WINDOW_CAP.
-    """
-    if metric._increments is None:
-        if isinstance(metric, MetricGraph):
-            inc = _graph_increments(metric)
-        elif metric.window is None:
-            raise ValidationError(
-                f"oracle {metric.tag!r} declares no increment window; exact sums need one"
-            )
-        else:
-            _check_window_cap(metric.rank, metric.window, metric.tag)
-            words = [w.letters for n in range(1, metric.window + 2) for w in enumerate_sphere(metric.rank, n)]
-            dist = {(): 0} | {w: metric.dist(Word(w, metric.rank)) for w in words}
-            table = {w: dist[w] - dist[w[:-1]] for w in words}
-            inc = Increments(metric.window, tuple(alphabet(metric.rank)), table)
-        object.__setattr__(metric, "_increments", inc)
-    return metric._increments
-
-
-def _check_window_cap(rank: int, window: int, tag: str) -> None:
-    size = sum(sphere_size(rank, n) for n in range(1, window + 2))
-    if size > WINDOW_CAP:
-        raise ResourceCapError(
-            f"increment window {window} of {tag} needs {size} words; cap is {WINDOW_CAP}", cap=WINDOW_CAP
-        )
-
-
-def _graph_increments(graph: MetricGraph) -> Increments:
-    """The increments of a graph, with the least window that explains them.
+def window_increments(graph: MetricGraph) -> Increments:
+    """The increments of a graph, with the least window that explains them,
+    cached on the graph.  Raises ResourceCapError when the words up to a
+    window it tries outnumber WINDOW_CAP.
 
     Write T(w) for the tight path of w and c(w, x) for the number of edges
     of T(x) that cancel against T(w); the increment of x is then len T(x)
@@ -433,11 +380,17 @@ def _graph_increments(graph: MetricGraph) -> Increments:
     window is the least K' for which c is a function of the last K'+1
     letters.
     """
+    if graph._increments is not None:
+        return graph._increments
     letters = alphabet(graph.rank)
     tight = {x: graph._walk(Word((x,), graph.rank))[0] for x in letters}
     reach = _prefix_reach(graph)
     for k in itertools.count(1):
-        _check_window_cap(graph.rank, k, graph.tag)
+        size = sum(sphere_size(graph.rank, n) for n in range(1, k + 2))
+        if size > WINDOW_CAP:
+            raise ResourceCapError(
+                f"increment window {k} of {graph.tag} needs {size} words; cap is {WINDOW_CAP}", cap=WINDOW_CAP
+            )
         cuts, room = {}, {}  # word -> c(word without x, x); v -> len T(v) - L(v)
         for w, stack, c in _tight_steps(tight, k + 1):
             cuts[w] = c
@@ -452,7 +405,8 @@ def _graph_increments(graph: MetricGraph) -> Increments:
     window = next(k for k in itertools.count() if all(c == cuts[w[-k - 1 :]] for w, c in cuts.items()))
     length = graph._length
     table = {w: length(tight[w[-1]]) - 2 * length(tight[w[-1]][:c]) for w, c in cuts.items() if len(w) <= window + 1}
-    return Increments(window, tuple(letters), table)
+    object.__setattr__(graph, "_increments", Increments(window, tuple(letters), table))
+    return graph._increments
 
 
 def _tight_steps(tight: dict, depth: int):
@@ -653,7 +607,7 @@ def load_graph(path) -> MetricGraph:
 # -- ball counts ---------------------------------------------------------------
 
 
-def ball_counts(metric: Metric, radii: Sequence) -> list[int]:
+def ball_counts(graph: MetricGraph, radii: Sequence) -> list[int]:
     """#{x : dist(o, x) <= T} for each threshold T in ``radii``, exactly.
 
     Dynamic programming over (state, distance) with the increments of
@@ -663,7 +617,7 @@ def ball_counts(metric: Metric, radii: Sequence) -> list[int]:
     is finite: a cycle of states spells a cyclically reduced word whose
     increments add up to its translation length, which is positive.
     """
-    inc = window_increments(metric)
+    inc = window_increments(graph)
     t_max = max(radii)
     least = {(): 0}  # Bellman-Ford, discovering the states as it goes
     changed = True

@@ -28,14 +28,22 @@ Claims covered:
     - ``thermo gibbs`` lists every depth-d cylinder of the maximal component
       and rejects depth < 1 with the validation exit code
     - ``selfcheck`` passes every row, the marking-folding row included
+    - the success path of ``coding components`` (the free coding's exact
+      radius 3; the backtracking coding's radius equals the largest modulus
+      of a dense eigenvalue reference), ``coding loop``, ``thermo
+      pressure|growth|rpf``, ``ps zcheck|cylmass|nu`` and ``rigid
+      verify|rank|recover``: exit 0 and the closed forms of the unit rose
 """
 
+import ast
 import hashlib
 import json
+import math
 
+import numpy as np
 import pytest
 
-from lsrigid import cli, fixtures
+from lsrigid import cli, coding, fixtures, treemetric
 
 ARTIFACTS = ("ray.txt", "E.csv", "rank_report.json", "separation_report.json",
              "witness_lengths.svg", "budget_curve.svg")
@@ -290,3 +298,97 @@ def test_selfcheck_passes(capsys):
     rows = capsys.readouterr().out.splitlines()[1:]
     assert len(rows) == len(cli._selfcheck_rows())
     assert any(row.startswith("marking folding") and "PASS" in row for row in rows)
+
+
+# -- success paths -----------------------------------------------------------------
+
+
+def _run(capsys, *argv):
+    assert cli.main(list(argv)) == 0
+    return capsys.readouterr().out.splitlines()
+
+
+@pytest.fixture
+def unit_rose_file(tmp_path):
+    path = tmp_path / "rose.json"
+    path.write_text(json.dumps({"rose": [1, 1]}))
+    return str(path)
+
+
+def test_coding_components_free_and_backtrack(tmp_path, capsys):
+    assert _run(capsys, "coding", "components") == [
+        "component {a,A,b,B}: spectral radius 3 word-maximal",
+        f"growth rate v_S = {math.log(3)!r}",
+    ]
+    # a -> A gives the state a out-degree 4: no common row sum, so the radius
+    # comes from the dense spectrum
+    doctored = fixtures.coding_with_backtrack(2)
+    path = tmp_path / "backtrack.json"
+    path.write_text(json.dumps(doctored.to_json()))
+    (line, _) = _run(capsys, "coding", "components", "--structure", str(path))
+    head, rest = line.split(": spectral radius ")
+    rho, flag = rest.split()
+    (comp,) = coding.scc_decompose(doctored)[0]
+    reference = max(abs(np.linalg.eigvals(comp.adjacency())))
+    assert (head, flag) == ("component {a,A,b,B}", "word-maximal")
+    assert abs(float(rho) - reference) <= 1e-12 * reference
+
+
+def test_coding_loop(capsys):
+    assert _run(capsys, "coding", "loop", "--class", "aB") == [
+        "loop states: a B a",
+        "word: Ba  power: 1  sign: +1",
+    ]
+
+
+def test_thermo_pressure_growth_rpf(unit_rose_file, capsys):
+    # every step of the unit rose weighs e^-v and has 3 successors: P(v) = log 3 - v
+    assert _run(capsys, "thermo", "pressure", "--graph", unit_rose_file, "--v", "0.5") == [
+        f"component {{a,A,b,B}}: pressure {math.log(3) - 0.5:.12f}",
+    ]
+    lines = _run(capsys, "thermo", "growth", "--graph", unit_rose_file)
+    assert abs(float(lines[0].removeprefix("v* = ")) - math.log(3)) <= 1e-9
+    assert lines[-1] == "maximal components: ['a,A,b,B']"
+    lines = _run(capsys, "thermo", "rpf", "--graph", unit_rose_file, "--state", "a", "--nmax", "4")
+    assert lines[0] == "S_0 = 1.0000000000e+00"
+    assert lines[-1] == "band: [1.000000, 1.000000] (bounded)"
+
+
+def test_ps_zcheck_cylmass_nu(unit_rose_file, capsys):
+    # at v* = log 3 the unit rose has Z_n = 1 + 4n/3
+    lines = _run(capsys, "ps", "zcheck", "--graph", unit_rose_file, "--nmax", "4")
+    assert lines[3] == "3\t5.00000000\t1.66666667"
+    assert lines[-1] == "linear growth: yes"
+    # words that start with ab: 3^(m-2) of each length m <= 8, each of mass
+    # 3^-m, so (7/9) / Z_8 = 1/15
+    (line,) = _run(capsys, "ps", "cylmass", "--graph", unit_rose_file, "--prefix", "a,b", "--n", "8")
+    prefix, mass = line.removesuffix(" at radius 8").split(": mass estimate ")
+    assert prefix == "prefix * a b"
+    assert abs(float(mass) - 1 / 15) <= 1e-9
+    # the radius-1 ball: the identity weighs 3/7, each letter 1/7
+    rows = [line.split("\t") for line in _run(capsys, "ps", "nu", "--graph", unit_rose_file, "--n", "1")]
+    assert [w for w, _ in rows] == ["1", "a", "A", "b", "B"]
+    assert all(abs(float(p) - q) <= 1e-9 for (_, p), q in zip(rows, [3 / 7] + [1 / 7] * 4))
+
+
+def test_rigid_verify_rank_recover(rigid7, tmp_path, capsys):
+    rigid7.to_csv(tmp_path / "E.csv")
+    n = len(rigid7.witness_classes())
+    assert _rigid_verify(tmp_path, tmp_path / "E.csv", {"rose": [1, 1]}, {"rose": [1, 1]}) == 0
+    assert capsys.readouterr().out == f"AGREE on all {n} witness classes (max diff 0.0)\n"
+    assert _rigid_verify(tmp_path, tmp_path / "E.csv", {"rose": [1, 1]}, {"rose": [1, 2]}) == 0
+    assert capsys.readouterr().out.startswith("SEPARATED by [")
+    assert _run(capsys, "rigid", "rank", "--set", str(tmp_path / "E.csv")) == [
+        f"occurrence matrix: {n} classes x 2 generators",
+        "rational rank: 2 (full)",
+    ]
+    graph = treemetric.rose(["3/2", "1/2"])
+    targets = tmp_path / "targets.csv"
+    targets.write_text("class,length\n" + "".join(
+        f"{c},{float(graph.translation_length(c))}\n" for c in rigid7.witness_classes()
+    ))
+    lengths, residual = _run(capsys, "rigid", "recover", "--set", str(tmp_path / "E.csv"),
+                             "--targets", str(targets))
+    got = ast.literal_eval(lengths.removeprefix("lengths: "))
+    assert max(abs(x - y) for x, y in zip(got, (1.5, 0.5))) <= 1e-9
+    assert residual.endswith("(consistent)")

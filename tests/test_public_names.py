@@ -6,6 +6,11 @@ Claims covered:
       ``__init__.py`` do not count) or by the benchmark in ``perfbench/``,
       unless ALLOWED names it with the reason it is kept
     - ALLOWED lists no name that has gained a user
+    - every defaulted parameter of a public function or method of
+      ``src/lsrigid`` is passed, by position or keyword, by some call in
+      ``src/``, ``perfbench/`` or ``tests/``, unless KNOBS names it with the
+      reason it is kept; a parameter nothing sets is a constant
+    - KNOBS lists no parameter that has gained a caller
 """
 
 import ast
@@ -25,6 +30,11 @@ ALLOWED = {
     "witness_deviation": _DIAGNOSTIC,
     "coding_missing_generator_edge": _FIXTURE,
     "coding_with_dead_end": _FIXTURE,
+}
+
+KNOBS = {
+    ("rough_ray", "limit"): _DIAGNOSTIC,
+    ("recurrence_report", "visit_cap"): _DIAGNOSTIC,
 }
 
 
@@ -68,3 +78,55 @@ def test_every_public_name_has_a_user():
     )
     assert unused == sorted(ALLOWED)
     assert all(ALLOWED.values())
+
+
+def _defaulted_parameters(tree):
+    """(call name, parameter, position) for each defaulted parameter of a
+    public function or method (``__init__`` is called by the class name);
+    the position excludes self or cls, and is None for a keyword-only one."""
+
+    def defaulted(fn, call, offset):
+        args = fn.args.posonlyargs + fn.args.args
+        first = len(args) - len(fn.args.defaults)
+        for k in range(first, len(args)):
+            yield call, args[k].arg, k - offset
+        for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+            if default is not None:
+                yield call, arg.arg, None
+
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            yield from defaulted(node, node.name, 0)
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for fn in node.body:
+                if isinstance(fn, ast.FunctionDef) and (fn.name == "__init__" or not fn.name.startswith("_")):
+                    static = any(getattr(d, "id", None) == "staticmethod" for d in fn.decorator_list)
+                    call = node.name if fn.name == "__init__" else fn.name
+                    yield from defaulted(fn, call, 0 if static else 1)
+
+
+def test_every_defaulted_parameter_is_set_somewhere():
+    calls: dict[str, list[ast.Call]] = {}  # called name (``x.name`` counts as ``name``) -> calls
+    for path in sorted(p for top in ("src", "perfbench", "tests") for p in (ROOT / top).rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                calls.setdefault(name, []).append(node)
+
+    def passed(call, name, position):
+        return any(
+            any(kw.arg in (name, None) for kw in c.keywords)
+            or position is not None
+            and (len(c.args) > position or any(isinstance(a, ast.Starred) for a in c.args))
+            for c in calls.get(call, ())
+        )
+
+    package = ROOT / "src" / "lsrigid"
+    unset = sorted(
+        (call, name)
+        for path in sorted(package.glob("*.py"))
+        for call, name, position in _defaulted_parameters(ast.parse(path.read_text()))
+        if not passed(call, name, position)
+    )
+    assert unset == sorted(KNOBS)
+    assert all(KNOBS.values())

@@ -29,8 +29,8 @@ Claims covered:
       and a window search past its cap exits with code 3
     - ball counts equal the count of reduced closed edge paths at the
       basepoint on rose12, the subdivided rose, the theta graph, the barbell,
-      the twisted rose (rational, float and as a bare oracle) and random
-      marked metrics of rank 2 and 3
+      the twisted rose (rational and float) and random marked metrics of
+      rank 2 and 3
     - JSON round trips for roses, twisted roses and general graphs
 """
 
@@ -43,7 +43,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lsrigid import psmeasure, rigidity, treemetric, words
+from lsrigid import rigidity, treemetric, words
 from lsrigid.errors import ResourceCapError, ValidationError
 from lsrigid.treemetric import MetricGraph, ball_counts, marked_rose, rose, word_metric
 from lsrigid.words import ConjClass, Word
@@ -494,9 +494,6 @@ def test_ball_counts_match_edge_paths(rose12, subdivided_rose, theta, barbell, t
     radii = [Fraction(k, 2) for k in range(0, 13)]
     for graph in (rose12, subdivided_rose, theta, barbell, twisted, treemetric.as_float(twisted)):
         assert ball_counts(graph, radii) == _brute_ball_counts(graph, radii)
-    # an oracle that declares its window runs the same programme through dist
-    oracle = treemetric.MetricOracle(dist=twisted.dist, rank=2, window=1)
-    assert ball_counts(oracle, radii) == _brute_ball_counts(twisted, radii)
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
@@ -540,23 +537,6 @@ def test_window_increments_cached_per_metric(twisted):
         inc = treemetric.window_increments(graph)
         assert inc is treemetric.window_increments(graph)
         assert all(type(d) is kind for d in inc.table.values())
-
-
-def test_oracle_window_must_be_declared():
-    # a left-invariant metric with no finite window: every increment is 2 up
-    # to length 3 and 1 beyond, so no table of short words predicts it
-    odd = treemetric.MetricOracle(dist=lambda w: len(w.letters) + min(len(w.letters), 3), rank=2)
-    for fn in (
-        lambda: treemetric.window_increments(odd),
-        lambda: ball_counts(odd, [5]),
-        lambda: psmeasure.partition_sums(odd, 0.5, 6),
-    ):
-        with pytest.raises(ValidationError) as info:
-            fn()
-        assert info.value.exit_code == 2
-    huge = treemetric.MetricOracle(dist=word_metric(2).dist, rank=2, window=12)
-    with pytest.raises(ResourceCapError):
-        treemetric.window_increments(huge)
 
 
 def test_window_increments_left_cancellation():
