@@ -405,7 +405,7 @@ def run_pipeline(config_path, out_dir, seed_override: int | None = None) -> dict
         line_plot(
             out / "budget_curve.svg",
             [
-                Series("#{ell < T}", ts, [rigid.count_below(t) for t in ts]),
+                Series("#{ell < T}", ts, rigid.count_below(ts)),
                 Series(f"f(T) = {budget.name}", ts, [budget(t) for t in ts]),
             ],
             title="Sparsity budget",
@@ -515,7 +515,7 @@ def _selfcheck_rows():
         entries = psmeasure.entry_weight_table(aug, unit, growth.v_star)
         r1 = psmeasure.sample_ray(aug, td, entries, 2000, seed=11)
         r2 = psmeasure.sample_ray(aug, td, entries, 2000, seed=11)
-        return r1.states == r2.states, "identical rays from identical seeds"
+        return r1 == r2, "identical rays from identical seeds"
 
     def check_doctored_validation():
         try:

@@ -21,7 +21,7 @@ import math
 import warnings
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
-from itertools import accumulate
+from itertools import accumulate, islice, repeat
 from typing import Sequence
 
 import numpy as np
@@ -35,6 +35,7 @@ from .words import Word, enumerate_ball
 
 DEFAULT_BALL_CAP = 400_000
 RAY_CHUNK = 1 << 14  # uniforms drawn at once by sample_ray
+RAY_FILE_CHUNK = 1 << 16  # states spelled or read at once by save_ray and load_ray
 _ENTRY_RADIUS = 16  # least radius of an entry prefix's cylinder-mass estimate
 _NO_EDGE = 127  # RaySample.word_letters: no edge joins the two states (labels are |l| <= 26)
 
@@ -275,33 +276,67 @@ def measure_mass_band(
 @dataclass(frozen=True)
 class RaySample:
     """A sampled 0-free path from the initial state, absorbed in one
-    word-maximal component from ``entry_index`` onward."""
+    word-maximal component from ``entry_index`` onward.
+
+    The path is ``indices``, its coding state indices in the narrowest
+    unsigned dtype that holds every state (``_index_dtype``): one byte per
+    step on every coding of this package.  No state name is stored:
+    ``save_ray`` spells them a chunk at a time, and ``states`` spells the
+    whole ray on each call.  Equality compares ``indices`` elementwise."""
 
     structure: AugmentedStructure = field(repr=False)
-    states: tuple[str, ...]
-    indices: np.ndarray = field(repr=False, compare=False)
+    indices: np.ndarray = field(repr=False, compare=False)  # compared by __eq__, left out of the hash
     entry_index: int
     component: Component = field(repr=False)
     seed: int | None
 
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, RaySample):
+            return NotImplemented
+        return (self.structure, self.entry_index, self.component, self.seed) == (
+            other.structure, other.entry_index, other.component, other.seed
+        ) and np.array_equal(self.indices, other.indices)
+
     def __len__(self) -> int:
-        return len(self.states) - 1
+        return len(self.indices) - 1
+
+    @property
+    def states(self) -> tuple[str, ...]:
+        """The state names along the ray, spelled on each call; nothing in the
+        package reads them."""
+        return tuple(map(self.structure.states.__getitem__, self.indices.tolist()))
 
     def word_letters(self) -> tuple[int, ...]:
         """The labels along the ray, identity labels dropped."""
-        return self._prefix_letters(len(self.indices))
+        return tuple(self._prefix_letters(len(self.indices)).tolist())
 
-    def _prefix_letters(self, n_states: int) -> tuple[int, ...]:
-        """The labels along the first n_states states of the ray: a prefix of
-        ``word_letters``, whose steps past those states are not read."""
-        aug = self.structure
-        table = np.full((aug.n_states, aug.n_states), _NO_EDGE, dtype=np.int8)
-        for i, (targets, labels) in enumerate(zip(aug.succ, aug.labels)):
-            table[i, list(targets)] = labels
-        steps = table[self.indices[: n_states - 1], self.indices[1:n_states]]
-        if (steps == _NO_EDGE).any():
-            raise ValidationError("the ray takes a step that is not an edge of the coding")
-        return tuple(steps[steps != 0].tolist())
+    def _prefix_letters(self, n_states: int) -> np.ndarray:
+        """The labels along the first n_states states of the ray, as int8: a
+        prefix of ``word_letters``, whose steps past those states are not
+        read."""
+        steps = _steps(_step_table(self.structure), self.indices[:n_states])
+        return steps[steps != 0]
+
+
+def _index_dtype(aug: AugmentedStructure) -> np.dtype:
+    return np.min_scalar_type(aug.n_states - 1)
+
+
+def _step_table(aug: AugmentedStructure) -> np.ndarray:
+    """The label of the edge i -> j at [i, j]; _NO_EDGE where there is none."""
+    table = np.full((aug.n_states, aug.n_states), _NO_EDGE, dtype=np.int8)
+    for i, (targets, labels) in enumerate(zip(aug.succ, aug.labels)):
+        table[i, list(targets)] = labels
+    return table
+
+
+def _steps(table: np.ndarray, indices: np.ndarray) -> np.ndarray:
+    """The labels of the steps along ``indices``; refuses a step that is not an
+    edge of the coding."""
+    steps = table[indices[:-1], indices[1:]]
+    if (steps == _NO_EDGE).any():
+        raise ValidationError("the ray takes a step that is not an edge of the coding")
+    return steps
 
 
 def entry_weight_table(
@@ -366,9 +401,9 @@ def sample_ray(
     total, leaving out the last weight so that a product rounded up to the
     total picks the last move.  Those are the float64 operations and
     comparisons of one ``np.searchsorted(..., side="right")`` per step, so
-    the ray is bit-identical to the step-by-step walk.  Memory is one chunk
-    of states plus the chain; time is linear in the length, whatever the
-    number of blocks.
+    the ray is bit-identical to the step-by-step walk.  Memory is one byte
+    per step (``RaySample.indices``) plus one chunk of uniforms and the
+    chain; time is linear in the length, whatever the number of blocks.
     """
     rng = np.random.Generator(np.random.Philox(key=seed))
     u_entry, u_block = rng.random(2)
@@ -400,7 +435,7 @@ def sample_ray(
         raise ValidationError(
             f"ray length {length} is below {len(head) - 1}, the steps of the entry prefix and first block"
         )
-    idx = np.empty(length + 1, dtype=np.int64)
+    idx = np.empty(length + 1, dtype=_index_dtype(aug))
     idx[: len(head)] = head
     rows = [  # per block: its cumulative move weights but the last, their total, its successors
         (c[:-1].tolist(), float(c[-1]), targets.tolist())
@@ -414,14 +449,7 @@ def sample_ray(
             b = targets[bisect_right(cut, u * total)]
             walk.append(last_state[b])
         idx[pos : pos + len(walk)] = walk
-    return RaySample(
-        structure=aug,
-        states=tuple(map(aug.states.__getitem__, idx.tolist())),
-        indices=idx,
-        entry_index=entry,
-        component=component,
-        seed=seed,
-    )
+    return RaySample(structure=aug, indices=idx, entry_index=entry, component=component, seed=seed)
 
 
 # -- recurrence ------------------------------------------------------------------
@@ -466,54 +494,61 @@ def recurrence_report(ray: RaySample, depth: int, visit_cap: int = 100) -> Recur
 
 
 def save_ray(ray: RaySample, path) -> None:
-    """Ray file: header comments (seed, entry, component), one state id per line."""
+    """Ray file: header comments (seed, entry, component), one state id per
+    line.  The lines are spelled RAY_FILE_CHUNK states at a time."""
+    lines = [name + "\n" for name in ray.structure.states]
     with open(path, "w") as fh:
         fh.write(f"# seed {ray.seed}\n")
         fh.write(f"# entry {ray.entry_index}\n")
         fh.write(f"# component {','.join(ray.component.states)}\n")
         fh.write(f"# rank {ray.structure.rank}\n")
-        for s in ray.states:
-            fh.write(s + "\n")
+        for pos in range(0, len(ray.indices), RAY_FILE_CHUNK):
+            fh.write("".join(map(lines.__getitem__, ray.indices[pos : pos + RAY_FILE_CHUNK].tolist())))
 
 
 def load_ray(path, aug: AugmentedStructure) -> RaySample:
+    """The ray of a ``save_ray`` file, read RAY_FILE_CHUNK lines at a time;
+    every step is checked to be an edge of the coding."""
     seed = None
     entry = 1
     comp_states: tuple[str, ...] | None = None
-    states: list[str] = []
+    code = {name + "\n": i for i, name in enumerate(aug.states)}
+    table, dtype = _step_table(aug), _index_dtype(aug)
+    chunks: list[np.ndarray] = []
     with open(path) as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if line.startswith("#"):
-                fields = line[1:].split()
-                if fields[0] == "seed" and fields[1] != "None":
-                    seed = int(fields[1])
-                elif fields[0] == "entry":
-                    entry = int(fields[1])
-                elif fields[0] == "component":
-                    comp_states = tuple(fields[1].split(","))
-            elif line:
-                states.append(line)
-    if not states:
+        while lines := list(islice(fh, RAY_FILE_CHUNK)):
+            idx = np.fromiter(map(code.get, lines, repeat(-1)), dtype=np.int64, count=len(lines))
+            for k in np.flatnonzero(idx < 0).tolist():  # comments, blank lines, a last line without "\n"
+                line = lines[k].rstrip("\n")
+                if line.startswith("#"):
+                    fields = line[1:].split()
+                    if fields[0] == "seed" and fields[1] != "None":
+                        seed = int(fields[1])
+                    elif fields[0] == "entry":
+                        entry = int(fields[1])
+                    elif fields[0] == "component":
+                        comp_states = tuple(fields[1].split(","))
+                elif line:
+                    if line + "\n" not in code:
+                        raise ValidationError(f"{path}: unknown state {line!r}")
+                    idx[k] = code[line + "\n"]
+            idx = idx[idx >= 0].astype(dtype)
+            _steps(table, np.concatenate((chunks[-1][-1:], idx)) if chunks else idx)
+            if len(idx):
+                chunks.append(idx)
+    if not chunks:
         raise ValidationError(f"{path}: no states")
+    last = aug.states[chunks[-1][-1]]
     component = None
     for c in classify_components(aug).components:
         if comp_states is not None and set(comp_states) <= set(c.states):
             component = c.component
             break
-        if comp_states is None and c.word_maximal and states[-1] in c.states:
+        if comp_states is None and c.word_maximal and last in c.states:
             component = c.component
             break
     if component is None:
         raise ValidationError(f"{path}: cannot match the ray to a component of the coding")
-    idx = np.array(aug.resolve(states), dtype=np.int64)
-    ray = RaySample(
-        structure=aug,
-        states=tuple(states),
-        indices=idx,
-        entry_index=entry,
-        component=component,
-        seed=seed,
+    return RaySample(
+        structure=aug, indices=np.concatenate(chunks), entry_index=entry, component=component, seed=seed
     )
-    ray.word_letters()  # refuses a step that is not an edge of the coding
-    return ray

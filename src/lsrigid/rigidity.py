@@ -30,6 +30,7 @@ from .words import (
     ConjClass,
     Word,
     _canonical_rotation,
+    _spell_bytes,
     char_to_letter,
     compose_substitutions,
     cyclic_reduce,
@@ -164,7 +165,11 @@ class _RayPrefix:
         self.indices = ray.indices
         self.spell = ray._prefix_letters
         self.size = min(_FIRST_WINDOW, len(self.indices))
-        self.letters = self.spell(self.size)
+        self._read()
+
+    def _read(self) -> None:
+        self.steps = self.spell(self.size)  # the letters as int8
+        self.letters = tuple(self.steps.tolist())
 
     def occurrences(self, pattern: Sequence[int]):
         """(n1, n2) for each occurrence of the state pattern at a start
@@ -183,7 +188,7 @@ class _RayPrefix:
             if self.size == len(self.indices):
                 return
             self.size = min(2 * self.size, len(self.indices))
-            self.letters = self.spell(self.size)
+            self._read()
 
 
 def _occurrence_starts(indices: np.ndarray, pattern: Sequence[int]) -> np.ndarray:
@@ -250,8 +255,14 @@ class RigidSet:
     def witness_lengths(self) -> dict[ConjClass, int]:
         return dict(self._witness_lengths)
 
-    def count_below(self, t: float) -> int:
-        return sum(1 for ell in self._witness_lengths.values() if ell < t)
+    @cached_property
+    def _sorted_lengths(self) -> np.ndarray:
+        return np.sort(np.fromiter(self._witness_lengths.values(), dtype=float))
+
+    def count_below(self, t: float | Sequence[float]) -> int | list[int]:
+        """The number of witness classes of length below t; a list of those
+        numbers when t is a sequence."""
+        return np.searchsorted(self._sorted_lengths, t, side="left").tolist()
 
     @cached_property
     def _prefix_index(self) -> tuple[Word, tuple[int | None, ...]]:
@@ -280,11 +291,17 @@ class RigidSet:
         ends = tuple(first[id(c)] for c in self._witness_order)
         return ends, sorted({m for m in ends if m is not None})
 
+    @cached_property
+    def _longest_text(self) -> str:
+        """The spelling of the longest witness; ``build_rigid_set`` sets it
+        from the ray's letters."""
+        return str(self._prefix_index[0])
+
     def to_csv(self, path) -> None:
         # Every field is letters, digits or "ell_S(...)", so none needs quoting
         # and the lines are those of csv.writer (excel dialect, CRLF endings).
-        longest, ends = self._prefix_index
-        text = str(longest)
+        _, ends = self._prefix_index
+        text = self._longest_text
         witnesses = (w for e in self.entries for w in (e.witness1, e.witness2))
         spelled = iter([str(w) if end is None else text[:end] or "1" for w, end in zip(witnesses, ends)])
         header = ["class", "M", "N1", "N2", "witness1", "witness2", "ell_S(witness1)", "ell_S(witness2)"]
@@ -448,6 +465,7 @@ def build_rigid_set(
     witnesses = [w for e in entries for w in (e.witness1, e.witness2)]
     longest = max(witnesses, key=len, default=Word((), rank))
     object.__setattr__(rigid, "_prefix_index", (longest, tuple(map(len, witnesses))))
+    object.__setattr__(rigid, "_longest_text", _spell_bytes(prefix.steps[: len(longest)].tobytes()))
     return rigid
 
 

@@ -407,7 +407,10 @@ def solve_growth_rate(ms: MarkovStructure, pot: Potential) -> GrowthResult:
     """The multiplier v* with max-over-components pressure P(-v* phi) = 0.
 
     Pressure is strictly decreasing in v (the potential has positive Birkhoff
-    averages), so bisection with a doubling bracket is safe.  The components
+    averages), so bisection is safe.  The bracket's top doubles from the
+    first probe while the pressure is positive, and otherwise halves down to
+    v*'s power of two; the first probe is on the potential's scale, so a graph
+    with long edges is bracketed without underflow.  The components
     attaining the zero (the arg-max at v*) are checked to coincide with the
     word-maximal ones; a mismatch raises, since it would corrupt everything
     downstream.
@@ -429,13 +432,24 @@ def solve_growth_rate(ms: MarkovStructure, pot: Potential) -> GrowthResult:
     p0 = max_pressure(0.0)
     if p0 <= 0:
         raise ValidationError(f"pressure at v=0 is {p0}; structure has no growth")
-    hi = 1.0
-    while max_pressure(hi) > 0:
+    # The first probe is 1, or the largest power of two below 1 at which every
+    # weight e^(-v phi) stays within e^(+-16): long edges underflow at v = 1.
+    widest = max(float(np.abs(shift._phis).max(initial=0.0)) for shift in shifts)
+    lo, hi = 0.0, 1.0
+    while hi * widest > 16:
+        hi /= 2
+    if max_pressure(hi) > 0:
         hi *= 2.0
-        if hi > 2**40:
-            raise ValidationError("bracket failure: pressure never becomes negative")
-    lo = 0.0
-    while hi - lo > PRESSURE_ROOT_TOL * 0.1:
+        while max_pressure(hi) > 0:
+            if hi >= 2**40:
+                raise ValidationError("bracket failure: pressure never becomes negative")
+            hi *= 2.0
+    else:  # v* is at most the first probe: halve down to its power of two
+        while max_pressure(hi / 2) <= 0:
+            hi /= 2
+        lo = hi / 2
+    tol = PRESSURE_ROOT_TOL * 0.1 * min(hi, 1.0)  # relative below 1, so v*(cL) = v*(L)/c
+    while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if max_pressure(mid) > 0:
             lo = mid

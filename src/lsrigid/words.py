@@ -32,8 +32,12 @@ _SPELLING = bytes(ord(_CHARS.get(b - 256 if b > 127 else b, "?")) for b in range
 
 def _spell(letters: Sequence[int]) -> str:
     """The ASCII form of a letter sequence; "1" for the empty one."""
-    # letters as signed bytes, each byte translated to its character
-    return array("b", letters).tobytes().translate(_SPELLING).decode("ascii") or "1"
+    return _spell_bytes(array("b", letters).tobytes())
+
+
+def _spell_bytes(data: bytes) -> str:
+    """``_spell`` of the letters whose signed bytes are ``data``."""
+    return data.translate(_SPELLING).decode("ascii") or "1"  # each byte translated to its character
 
 
 def char_to_letter(ch: str) -> int:

@@ -32,7 +32,8 @@ Claims covered:
       radius 3; the backtracking coding's radius equals the largest modulus
       of a dense eigenvalue reference), ``coding loop``, ``thermo
       pressure|growth|rpf``, ``ps zcheck|cylmass|nu`` and ``rigid
-      verify|rank|recover``: exit 0 and the closed forms of the unit rose
+      verify|rank|recover``: exit 0 and the closed forms of the unit rose;
+      ``thermo growth`` on the rose [1000, 1000] prints log 3 / 1000
 """
 
 import ast
@@ -341,7 +342,7 @@ def test_coding_loop(capsys):
     ]
 
 
-def test_thermo_pressure_growth_rpf(unit_rose_file, capsys):
+def test_thermo_pressure_growth_rpf(unit_rose_file, tmp_path, capsys):
     # every step of the unit rose weighs e^-v and has 3 successors: P(v) = log 3 - v
     assert _run(capsys, "thermo", "pressure", "--graph", unit_rose_file, "--v", "0.5") == [
         f"component {{a,A,b,B}}: pressure {math.log(3) - 0.5:.12f}",
@@ -349,6 +350,10 @@ def test_thermo_pressure_growth_rpf(unit_rose_file, capsys):
     lines = _run(capsys, "thermo", "growth", "--graph", unit_rose_file)
     assert abs(float(lines[0].removeprefix("v* = ")) - math.log(3)) <= 1e-9
     assert lines[-1] == "maximal components: ['a,A,b,B']"
+    long_rose = tmp_path / "long_rose.json"
+    long_rose.write_text(json.dumps({"rose": [1000, 1000]}))
+    lines = _run(capsys, "thermo", "growth", "--graph", str(long_rose))
+    assert abs(float(lines[0].removeprefix("v* = ")) - math.log(3) / 1000) <= 1e-12
     lines = _run(capsys, "thermo", "rpf", "--graph", unit_rose_file, "--state", "a", "--nmax", "4")
     assert lines[0] == "S_0 = 1.0000000000e+00"
     assert lines[-1] == "band: [1.000000, 1.000000] (bounded)"

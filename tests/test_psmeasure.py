@@ -20,11 +20,17 @@ Claims covered:
       window 4 with 324 blocks), five seeds and lengths around the chunk size; a ray length below the entry prefix plus
       one block is refused; ``word_letters`` equals the pairwise labels and
       refuses a step that is not an edge
-    - recurrence reports (depth < 1 rejected) and ray file round trips; a
-      ray file with a step that is not an edge is refused when it is loaded
+    - sampling a ray takes at most 4 bytes per step plus 2 MB (tracemalloc
+      peak at 2*10^5 steps), and rays are equal exactly when every step is
+    - recurrence reports (depth < 1 rejected) and ray file round trips, over
+      several read chunks too: the loaded indices and dtype equal the saved
+      ones, and saving them again gives the same bytes; a ray file with a
+      step that is not an edge, also across two read chunks, or with an
+      unknown state is refused when it is loaded
 """
 
 import math
+import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
@@ -346,7 +352,7 @@ def test_recurrence_sampled_ray(aug2, comp2, td_unit, entry_table_unit):
 def _given_ray(aug, states, component):
     """A ray along the given states, absorbed from its first step on."""
     idx = np.array(aug.resolve(states), dtype=np.int64)
-    return RaySample(aug, tuple(states), idx, entry_index=1, component=component, seed=None)
+    return RaySample(aug, idx, entry_index=1, component=component, seed=None)
 
 
 def test_recurrence_periodic_counterexample(aug2, comp2):
@@ -369,6 +375,27 @@ def test_recurrence_rejects_depth_below_one(aug2, comp2):
         recurrence_report(ray, 0)
 
 
+def test_sample_ray_memory_is_one_byte_per_step(aug2, comp2, td_unit, entry_table_unit):
+    length = 200_000
+    sample_ray(aug2, {comp2: td_unit}, entry_table_unit, 10, seed=1)  # the chain is built once
+    tracemalloc.start()
+    try:
+        ray = sample_ray(aug2, {comp2: td_unit}, entry_table_unit, length, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * length + 2 * 2**20
+    assert ray.indices.dtype == np.uint8
+
+
+def test_ray_equality_reads_every_step(aug2, comp2):
+    states = ("*",) + ("a", "b") * 5
+    ray = _given_ray(aug2, states, comp2)
+    assert ray == _given_ray(aug2, states, comp2)
+    assert ray != _given_ray(aug2, states[:-1] + ("B",), comp2)
+    assert ray != _given_ray(aug2, states[:-1], comp2)
+
+
 def test_ray_file_round_trip(aug2, comp2, td_unit, entry_table_unit, tmp_path):
     ray = sample_ray(aug2, {comp2: td_unit}, entry_table_unit, 500, seed=9)
     path = tmp_path / "ray.txt"
@@ -384,6 +411,29 @@ def test_ray_file_round_trip(aug2, comp2, td_unit, entry_table_unit, tmp_path):
     lines.append(lines[-1].swapcase())
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValidationError, match="not an edge"):
+        load_ray(path, aug2)
+
+
+def test_ray_file_round_trip_across_chunks(aug2, comp2, td_unit, entry_table_unit, tmp_path):
+    chunk = psmeasure.RAY_FILE_CHUNK
+    ray = sample_ray(aug2, {comp2: td_unit}, entry_table_unit, 2 * chunk + 5, seed=9)
+    path, again_path = tmp_path / "ray.txt", tmp_path / "again.txt"
+    save_ray(ray, path)
+    again = load_ray(path, aug2)
+    assert again.indices.dtype == ray.indices.dtype
+    assert np.array_equal(again.indices, ray.indices)
+    save_ray(again, again_path)
+    assert again_path.read_bytes() == path.read_bytes()
+    # a step that backtracks across the boundary of two read chunks (the
+    # first chunk holds the four header lines and chunk - 4 states)
+    lines = path.read_text().splitlines()
+    lines[chunk] = lines[chunk - 1].swapcase()
+    path.write_text("\n".join(lines))  # and no newline after the last state
+    with pytest.raises(ValidationError, match="not an edge"):
+        load_ray(path, aug2)
+    lines[chunk] = "x"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValidationError, match="unknown state 'x'"):
         load_ray(path, aug2)
 
 

@@ -2,7 +2,8 @@
 
 Claims covered:
     - the witness queries of a rigid set return the witness classes in
-      (length, word_key) order and their lengths, the same on every call
+      (length, word_key) order and their lengths, the same on every call;
+      count_below of a sequence is the list of its counts
     - the budget test agrees with a brute-force count at every integer
       threshold
     - a rigid set built on the seed-7 ray under the log budget keeps
@@ -15,8 +16,8 @@ Claims covered:
     - the builder, which reads witness lengths off the ray and canonicalises
       only the classes it must compare or keep, gives the entries, witness
       order and E.csv bytes of the reference builder that canonicalises
-      every candidate, and the prefix index it sets is the one a copy of its
-      set checks: rank-2 and rank-3 roses and the twisted rose, log, sqrt and
+      every candidate, and the prefix index and longest-witness spelling it
+      sets are those a copy of its set computes: rank-2 and rank-3 roses and the twisted rose, log, sqrt and
       linear budgets, three seeds each; among them a twisted-rose ray on
       which a kept pair is feasible only because it repeats a chosen class
     - the seed-7 build runs the least-rotation search on at most two passes
@@ -78,6 +79,8 @@ def test_witness_queries_order_and_values(aug2, comp2, td_unit, entry_table_unit
     assert rigid.witness_lengths() == expected
     for t in (1, 10, 100, 10_000):
         assert rigid.count_below(t) == sum(1 for ell in expected.values() if ell < t)
+    ts = sorted({t for ell in expected.values() for t in (ell - 0.5, ell, ell + 1)} | {1, 10_000})
+    assert rigid.count_below(ts) == [rigid.count_below(t) for t in ts]
 
 
 @settings(max_examples=200, deadline=None)
@@ -186,8 +189,9 @@ def _assert_matches_reference(ray, classes, budget, t_max, tmp_path):
     rigid = rigidity.build_rigid_set(ray, classes, budget, t_max=t_max)
     expected = _reference_build(ray, classes, budget, t_max)
     assert list(rigid.entries) == expected
-    # the index the builder sets is the one a copy of the set checks for
+    # the index and spelling the builder sets are those a copy of the set computes
     assert rigid._prefix_index == dataclasses.replace(rigid)._prefix_index
+    assert rigid._longest_text == dataclasses.replace(rigid)._longest_text
     kept = {}
     for e in expected:
         kept.setdefault(e.witness_class1, e.ell1)
@@ -281,7 +285,7 @@ def test_builder_reads_only_the_ray_prefix_it_uses(tmp_path):
     assert last > rigidity._FIRST_WINDOW  # the prefix doubled at least once
 
     def cut(states):
-        return dataclasses.replace(ray, states=ray.states[:states], indices=ray.indices[:states])
+        return dataclasses.replace(ray, indices=ray.indices[:states])
 
     assert rigidity.build_rigid_set(cut(last + 1), classes, "log", t_max=10_000).entries == rigid.entries
     short = cut(last)

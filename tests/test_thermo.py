@@ -4,7 +4,9 @@ Claims covered:
     - metric potentials tabulate distance increments, effective range detected
     - pressure values on roses match closed forms; strict monotonicity in v
     - growth-rate roots: log 3 for the unit rose, the cubic root for lengths
-      (1,2), scaling covariance, and the ball-count slope cross-check
+      (1,2), scaling covariance (relative to 1e-9 for lengths scaled by 1/4
+      and 1000 on the unit rose and theta), and the ball-count slope
+      cross-check
     - Gibbs chain weights, shift invariance, total mass
     - preimage sums against a brute-force oracle; decay on subcritical parts
     - telescoping defect of truncated potentials is finite and non-increasing;
@@ -115,6 +117,24 @@ def test_growth_scaling_covariance(free2):
         v = solve_growth_rate(free2, pot).v_star
         base = solve_growth_rate(free2, potential_from_metric(free2, treemetric.rose([1, 2]), k=2)).v_star
         assert abs(v - base / t) <= 1e-9
+
+
+def _scaled(graph, c):
+    spec = graph.to_json()
+    for edge in spec["edges"]:
+        edge["length"] = str(Fraction(edge["length"]) * c)
+    return treemetric.graph_from_json(spec)
+
+
+@pytest.mark.parametrize("c", [Fraction(1, 4), Fraction(1000)])
+@pytest.mark.parametrize("name", ["unit_rose2", "theta"])
+def test_growth_relative_scaling_covariance(request, free2, name, c):
+    # at c = 1000 every weight e^(-v phi) underflows at v = 1, where the
+    # bracket used to start
+    graph = request.getfixturevalue(name)
+    v = solve_growth_rate(free2, potential_from_metric(free2, graph)).v_star
+    v_scaled = solve_growth_rate(free2, potential_from_metric(free2, _scaled(graph, c))).v_star
+    assert abs(v_scaled * float(c) / v - 1) <= 1e-9
 
 
 def test_growth_rose22(free2):
