@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import math
+from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property
@@ -35,6 +36,7 @@ from .words import (
     compose_substitutions,
     cyclic_reduce,
     enumerate_classes,
+    free_reduce,
     generator,
     word_key,
 )
@@ -102,7 +104,7 @@ def _witness_core(letters: Sequence[int], n: int) -> tuple[int, int]:
     return m, _prefix_depth(letters, m)
 
 
-def _witness_class(letters: tuple[int, ...], core: tuple[int, int], rank: int) -> ConjClass:
+def _witness_class(letters: Sequence[int], core: tuple[int, int], rank: int) -> ConjClass:
     """The class of the witness with this (m, depth), canonicalised once."""
     m, d = core
     return ConjClass._of_canonical(_canonical_rotation(letters[d : m - d], True), rank, True)
@@ -169,7 +171,7 @@ class _RayPrefix:
 
     def _read(self) -> None:
         self.steps = self.spell(self.size)  # the letters as int8
-        self.letters = tuple(self.steps.tolist())
+        self.letters = memoryview(self.steps)  # read as Python ints
 
     def occurrences(self, pattern: Sequence[int]):
         """(n1, n2) for each occurrence of the state pattern at a start
@@ -208,12 +210,17 @@ def _occurrence_starts(indices: np.ndarray, pattern: Sequence[int]) -> np.ndarra
 
 @dataclass(frozen=True)
 class RigidSetEntry:
+    """One class of a rigid set and its witness pair.  The witnesses are the
+    prefixes ``word[:m1]`` and ``word[:m2]`` of the set's word, read off the
+    ray at the positions n1 and n2 that bound one loop traversal; their
+    classes have lengths ell1 and ell2."""
+
     cls: ConjClass
     power: int
     n1: int
     n2: int
-    witness1: Word
-    witness2: Word
+    m1: int
+    m2: int
     witness_class1: ConjClass
     witness_class2: ConjClass
     ell1: int
@@ -222,12 +229,14 @@ class RigidSetEntry:
 
 @dataclass(frozen=True)
 class RigidSet:
+    """A rigid set: one word and, for each entry, the ends along it of the
+    entry's two witnesses.  ``word`` is the longest witness as signed bytes,
+    one letter each; every witness is a prefix of it, since every witness is
+    a prefix of one ray's word trimmed by at most one letter."""
+
     rank: int
+    word: bytes = field(repr=False)
     entries: tuple[RigidSetEntry, ...]
-    budget_desc: str
-    t_max: float
-    ray_seed: int | None = None
-    ray_length: int | None = None
 
     # Witness classes can be thousands of letters long and are queried once
     # per battery pair and per plot point, so they are hashed and sorted once.
@@ -265,48 +274,26 @@ class RigidSet:
         return np.searchsorted(self._sorted_lengths, t, side="left").tolist()
 
     @cached_property
-    def _prefix_index(self) -> tuple[Word, tuple[int | None, ...]]:
-        """The longest witness, and the end along it of each witness (entry
-        order, two per entry).  A witness of a set built from one ray is a
-        prefix of the ray's word, so of the longest witness, and its end is
-        its length; the end of any other witness is None.  ``build_rigid_set``
-        sets the index itself; a set read from CSV or made by hand checks
-        each witness against the longest here."""
-        witnesses = [w for e in self.entries for w in (e.witness1, e.witness2)]
-        longest = max(witnesses, key=len, default=Word((), self.rank))
-        return longest, tuple(len(w) if longest.letters[: len(w)] == w.letters else None for w in witnesses)
-
-    @cached_property
-    def _class_ends(self) -> tuple[tuple[int | None, ...], list[int]]:
-        """The end along the longest witness of each witness class's first
-        witness, in ``witness_classes`` order, and the distinct ends in
-        ascending order.  The classes of ``_witness_order`` are the keys of
+    def _class_ends(self) -> tuple[tuple[int, ...], list[int]]:
+        """The end along ``word`` of each witness class's first witness, in
+        ``witness_classes`` order, and the distinct ends in ascending order.
+        The classes of ``_witness_order`` are the keys of
         ``_witness_lengths``: the first object of each class in the entries.
         So they are matched by identity; hashing every witness class again
         would read all their letters."""
-        first: dict[int, int | None] = {}
-        witness_classes = (c for e in self.entries for c in (e.witness_class1, e.witness_class2))
-        for c, end in zip(witness_classes, self._prefix_index[1]):
-            first.setdefault(id(c), end)
+        first: dict[int, int] = {}
+        for e in self.entries:
+            first.setdefault(id(e.witness_class1), e.m1)
+            first.setdefault(id(e.witness_class2), e.m2)
         ends = tuple(first[id(c)] for c in self._witness_order)
-        return ends, sorted({m for m in ends if m is not None})
-
-    @cached_property
-    def _longest_text(self) -> str:
-        """The spelling of the longest witness; ``build_rigid_set`` sets it
-        from the ray's letters."""
-        return str(self._prefix_index[0])
+        return ends, sorted(set(ends))
 
     def to_csv(self, path) -> None:
         # Every field is letters, digits or "ell_S(...)", so none needs quoting
         # and the lines are those of csv.writer (excel dialect, CRLF endings).
-        _, ends = self._prefix_index
-        text = self._longest_text
-        witnesses = (w for e in self.entries for w in (e.witness1, e.witness2))
-        spelled = iter([str(w) if end is None else text[:end] or "1" for w, end in zip(witnesses, ends)])
-        header = ["class", "M", "N1", "N2", "witness1", "witness2", "ell_S(witness1)", "ell_S(witness2)"]
-        rows = [header] + [
-            [str(e.cls), e.power, e.n1, e.n2, next(spelled), next(spelled), e.ell1, e.ell2]
+        text = _spell_bytes(self.word)
+        rows = [_CSV_HEADER] + [
+            [str(e.cls), e.power, e.n1, e.n2, text[: e.m1] or "1", text[: e.m2] or "1", e.ell1, e.ell2]
             for e in self.entries
         ]
         with open(path, "w", newline="") as fh:
@@ -314,42 +301,57 @@ class RigidSet:
 
     @classmethod
     def from_csv(cls, path, rank: int | None = None) -> "RigidSet":
+        """The set ``to_csv`` wrote; without ``rank``, the rank is the largest
+        letter in the file, at least 2.  A missing or malformed field, a
+        letter beyond the rank, or a witness that is not a prefix of the
+        longest (so not of one word) is a ValidationError naming the line."""
         with open(path, newline="") as fh:
-            rows = list(csv.DictReader(fh))
+            reader = csv.DictReader(fh)
+            rows = [_read_row(row, f"{path}, line {reader.line_num}") for row in reader]
         if not rows:
             raise ValidationError(f"{path}: empty rigid set")
+        # each row is (where, class, M, N1, N2, witness1, witness2, ell1, ell2)
         if rank is None:
-            rank = max(
-                max((abs_letter for r in rows for abs_letter in _letters_of(r)), default=2), 2
-            )
+            rank = max([2, *(abs(l) for r in rows for w in (r[1], *r[5:7]) for l in w)])
+        word = max((w for r in rows for w in r[5:7]), key=len)
         entries = []
-        for r in rows:
-            w1 = Word.from_str(r["witness1"], rank)
-            w2 = Word.from_str(r["witness2"], rank)
-            entries.append(
-                RigidSetEntry(
-                    cls=ConjClass.from_str(r["class"], rank, identify_inverse=True),
-                    power=int(r["M"]),
-                    n1=int(r["N1"]),
-                    n2=int(r["N2"]),
-                    witness1=w1,
-                    witness2=w2,
-                    witness_class1=cyclic_reduce(w1, identify_inverse=True),
-                    witness_class2=cyclic_reduce(w2, identify_inverse=True),
-                    ell1=int(r["ell_S(witness1)"]),
-                    ell2=int(r["ell_S(witness2)"]),
-                )
-            )
-        return cls(rank=rank, entries=tuple(entries), budget_desc="unknown", t_max=float("inf"))
+        for where, c, power, n1, n2, w1, w2, ell1, ell2 in rows:
+            if any(abs(l) > rank for w in (c, w1, w2) for l in w):
+                raise ValidationError(f"{where}: a letter is beyond rank {rank}")
+            if word[: len(w1)] != w1 or word[: len(w2)] != w2:
+                raise ValidationError(f"{where}: a witness is not a prefix of the longest witness")
+            ends = (len(w1), len(w2))
+            witness_classes = [_witness_class(word, (m, _prefix_depth(word, m)), rank) for m in ends]
+            indexed = cyclic_reduce(Word(c, rank), identify_inverse=True)
+            entries.append(RigidSetEntry(indexed, power, n1, n2, *ends, *witness_classes, ell1, ell2))
+        return cls(rank=rank, word=array("b", word).tobytes(), entries=tuple(entries))
 
 
-def _letters_of(row: dict) -> list[int]:
-    out = []
-    for key in ("class", "witness1", "witness2"):
-        for ch in row[key]:
-            if ch != "1":
-                out.append(abs(char_to_letter(ch)))
-    return out
+_CSV_HEADER = ("class", "M", "N1", "N2", "witness1", "witness2", "ell_S(witness1)", "ell_S(witness2)")
+
+
+def _read_row(row: dict, where: str) -> tuple:
+    """``where``, then the fields of an E.csv row in header order: the
+    letters of each word ("1" spells the empty word) and each integer."""
+    out: list = [where]
+    for key in _CSV_HEADER:
+        value = row.get(key)
+        if value is None:
+            raise ValidationError(f"{where}: no {key} field")
+        if key not in ("class", "witness1", "witness2"):
+            try:
+                out.append(int(value))
+            except ValueError:
+                raise ValidationError(f"{where}: {key} {value!r} is not an integer") from None
+            continue
+        text = "" if value.strip() == "1" else value.strip()
+        if text and not (text.isascii() and text.isalpha()):
+            raise ValidationError(f"{where}: {key} {value!r} is not a word")
+        letters = tuple(map(char_to_letter, text))
+        if free_reduce(letters) != letters:
+            raise ValidationError(f"{where}: {key} {value!r} is not freely reduced")
+        out.append(letters)
+    return tuple(out)
 
 
 def _budget_feasible(values: Sequence[int], budget: Budget, t_max: float) -> bool:
@@ -394,6 +396,9 @@ def build_rigid_set(
     P at most twice the last kept position (or the ray length), not
     O(classes x ray length).  Steps past the prefix are not read, so they
     are not checked against the coding here (``load_ray`` checks a file).
+
+    The set keeps the ray's letters up to its longest witness, and each
+    witness as its end along them; no witness is copied.
     """
     if isinstance(budget, str):
         budget = parse_budget(budget)
@@ -438,8 +443,8 @@ def build_rigid_set(
                     power=loop.power,
                     n1=n1,
                     n2=n2,
-                    witness1=Word(letters[: core1[0]], rank),
-                    witness2=Word(letters[: core2[0]], rank),
+                    m1=core1[0],
+                    m2=core2[0],
                     witness_class1=wc1,
                     witness_class2=wc2,
                     ell1=ell1,
@@ -453,20 +458,8 @@ def build_rigid_set(
                 f"no budget-feasible occurrence for [{c}]",
                 horizon=len(ray),
             )
-    rigid = RigidSet(
-        rank=rank,
-        entries=tuple(entries),
-        budget_desc=budget.name,
-        t_max=t_max,
-        ray_seed=ray.seed,
-        ray_length=len(ray),
-    )
-    # every witness is a prefix of the ray's word, so the index needs no check
-    witnesses = [w for e in entries for w in (e.witness1, e.witness2)]
-    longest = max(witnesses, key=len, default=Word((), rank))
-    object.__setattr__(rigid, "_prefix_index", (longest, tuple(map(len, witnesses))))
-    object.__setattr__(rigid, "_longest_text", _spell_bytes(prefix.steps[: len(longest)].tobytes()))
-    return rigid
+    longest = max((m for e in entries for m in (e.m1, e.m2)), default=0)
+    return RigidSet(rank=rank, word=prefix.steps[:longest].tobytes(), entries=tuple(entries))
 
 
 def witness_deviation(entry: RigidSetEntry, graph: MetricGraph):
@@ -589,7 +582,7 @@ class _PrefixWalk:
     each end the walk passes, the cyclic core of its tight path is kept,
     and it is summed when it is asked for."""
 
-    def __init__(self, graph: MetricGraph, letters: tuple[int, ...], ends: Sequence[int]):
+    def __init__(self, graph: MetricGraph, letters: Sequence[int], ends: Sequence[int]):
         self.graph = graph
         self.letters = letters
         self.ends = iter(ends)
@@ -613,29 +606,25 @@ def verify_separation(rigid: RigidSet, t1: MetricGraph, t2: MetricGraph) -> Sepa
 
     The witness classes are checked in ``witness_classes`` order, and the
     check stops at the first that separates.  Each class's length is read
-    off its witness.  The witnesses of a set built from one ray are prefixes
-    of the longest, so each metric walks that word once, and only as far as
-    the witness of the class being checked.  So the cost is the letters of
-    the longest witness checked, twice, plus one sum over each loop: not
-    the letters of every witness class, twice.  A class whose witness is not
-    a prefix of the longest (a hand-made set) is tightened on its own.  On a
-    float graph a loop is summed from where its witness enters it, so it can
-    differ in the last bits from the length of another representative.
+    off its witness, a prefix of the set's word, so each metric walks that
+    word once, and only as far as the witness of the class being checked.
+    So the cost is the letters of the longest witness checked, twice, plus
+    one sum over each loop: not the letters of every witness class, twice.
+    On a float graph a loop is summed from where its witness enters it, so
+    it can differ in the last bits from the length of another
+    representative.
     """
     if t1.rank != t2.rank:
         raise ValidationError("metrics have different rank")
     if rigid.rank != t1.rank:
         raise ValidationError(f"rigid set has rank {rigid.rank}, the metrics rank {t1.rank}")
     tol = 0 if t1.rational and t2.rational else 1e-9
-    letters = rigid._prefix_index[0].letters
+    letters = memoryview(rigid.word).cast("b")
     class_ends, ends = rigid._class_ends
     walk1, walk2 = _PrefixWalk(t1, letters, ends), _PrefixWalk(t2, letters, ends)
     max_diff = 0.0
     for c, m in zip(rigid._witness_order, class_ends):
-        if m is None:
-            diff = abs(t1.translation_length(c) - t2.translation_length(c))
-        else:
-            diff = abs(walk1.length(m) - walk2.length(m))
+        diff = abs(walk1.length(m) - walk2.length(m))
         if diff > tol:
             return SeparationVerdict(separated=True, first_separating=c, max_diff=float(diff))
         max_diff = max(max_diff, float(diff))

@@ -2,6 +2,7 @@
 
 Claims covered:
     - pipeline artifacts are a pure function of (config, seed): pinned digests
+      of the default config and of a rank-3 run on the rose [1,2,3]
     - the pipeline runs off the identity-marked rose: the twisted rose
       {a: ab, b: b}, the subdivided rose, the theta graph and the barbell
       give full rank and pinned artifacts
@@ -19,6 +20,9 @@ Claims covered:
       build --classes`` below 1 fails, with the validation exit code
     - ``rigid verify`` refuses a set whose rank is not the metrics' rank, in
       either direction, with the validation exit code
+    - ``rigid verify`` refuses a malformed E.csv (a missing column, a
+      non-integer, a witness that is not a word or not freely reduced) with
+      the validation exit code and a message naming the file and line
     - exit codes: 2 for a non-isomorphic marking (tagged with its stage), 3
       for a ball over the resource cap and for a graph whose increment window
       passes the cap (``thermo growth``), 4 for a ray too short for the rigid
@@ -65,6 +69,28 @@ def test_pipeline_digests_pinned(tmp_path):
     assert cli.main(["pipeline", "--config", str(config), "--out", str(out)]) == 0
     got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in PINNED}
     assert got == PINNED
+
+
+# Digests of the artifacts of a rank-3 run on the rose [1,2,3] (seed 7, the default).
+PINNED_RANK3 = {
+    "ray.txt": "ee2564dc54b4791d450f456db3ab69272bbe62cebb0675fd5e64854367cb6b47",
+    "E.csv": "fbb0d5fe6c3bf8b7994129bfc1fb12209565e2d041c26c08a7fbe313ebe292b3",
+    "rank_report.json": "b057a6927b8d3c89d6d8eebd3a1f7b018ee6a07dadea912e85e44f31162c716d",
+    "separation_report.json": "f0584f4b8bf5cf1a61c3a7c395d46d6d400858aa8750f6f5335a3e5f93bc2156",
+    "witness_lengths.svg": "b3d6233ee8b5dc71a670c0777d8b91358eece5c5a2bbbfd684e9292dd9d31778",
+    "budget_curve.svg": "2fe98a42b20338094f8728dc4b7e095f0c9b9d3076679b354d59f4d0a2ab1c4a",
+}
+
+
+def test_pipeline_rank_3_digests_pinned(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"rank": 3, "graph": {"rose": [1, 2, 3]}, "classes": 8,
+                                  "ray_length": 20000, "battery_pairs": 1}))
+    out = tmp_path / "out"
+    assert cli.main(["pipeline", "--config", str(config), "--out", str(out)]) == 0
+    got = {a: hashlib.sha256((out / a).read_bytes()).hexdigest() for a in ARTIFACTS}
+    assert got == PINNED_RANK3
+    assert json.loads((out / "rank_report.json").read_text())["full_rank"]
 
 
 # Digests of the artifacts of the off-rose runs (seed 7, the default).
@@ -233,6 +259,21 @@ def test_rigid_verify_rank_3_set_against_rank_2_metrics(tmp_path, capsys):
     )
     assert _rigid_verify(tmp_path, tmp_path / "E.csv", {"rose": [1, 2]}, {"rose": [1, 3]}) == 2
     assert capsys.readouterr().err == "error: rigid set has rank 3, the metrics rank 2\n"
+
+
+_E_HEADER = "class,M,N1,N2,witness1,witness2,ell_S(witness1),ell_S(witness2)\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    (_E_HEADER.replace(",N2", "") + "a,1,1,a,ab,1,2\n", "line 2: no N2 field"),
+    (_E_HEADER + "a,x,1,2,a,ab,1,2\n", "line 2: M 'x' is not an integer"),
+    (_E_HEADER + "a,1,1,2,a,a-b,1,2\n", "line 2: witness2 'a-b' is not a word"),
+    (_E_HEADER + "b,1,1,2,a,ab,1,2\nb,1,2,3,ab,aAb,2,1\n", "line 3: witness2 'aAb' is not freely reduced"),
+], ids=["missing-column", "non-integer", "not-a-word", "not-reduced"])
+def test_rigid_verify_refuses_a_malformed_set(tmp_path, capsys, text, message):
+    (tmp_path / "E.csv").write_text(text)
+    assert _rigid_verify(tmp_path, tmp_path / "E.csv", {"rose": [1, 1]}, {"rose": [1, 2]}) == 2
+    assert capsys.readouterr().err == f"error: {tmp_path / 'E.csv'}, {message}\n"
 
 
 def test_exit_code_resource_cap(tmp_path, capsys):

@@ -8,16 +8,21 @@ Claims covered:
       threshold
     - a rigid set built on the seed-7 ray under the log budget keeps
       count_below(T) <= log(1 + T) for every T up to t_max
-    - the CSV file round-trips classes, powers, positions, witnesses and
-      witness lengths
+    - the CSV file round-trips the set: its word, and per entry the class,
+      power, positions, witness ends (m1, m2), witness classes and lengths
+    - a file in which some witness is not a prefix of the longest is
+      refused: a set is one word, so such a file is no set
+    - the set built on rose [1,2,3] at seed 1 (10^5 steps, 20 classes, log
+      budget) retains at most 4 MB: one word and two ends per entry, no
+      copy of each witness
     - the seed-7 set has full rank 2 and recovers the edge lengths of a rose
       from its witness lengths; perturbed targets are inconsistent and a
       rank-deficient set is refused
     - the builder, which reads witness lengths off the ray and canonicalises
       only the classes it must compare or keep, gives the entries, witness
       order and E.csv bytes of the reference builder that canonicalises
-      every candidate, and the prefix index and longest-witness spelling it
-      sets are those a copy of its set computes: rank-2 and rank-3 roses and the twisted rose, log, sqrt and
+      every candidate, and its word is the ray's letters up to the longest
+      witness: rank-2 and rank-3 roses and the twisted rose, log, sqrt and
       linear budgets, three seeds each; among them a twisted-rose ray on
       which a kept pair is feasible only because it repeats a chosen class
     - the seed-7 build runs the least-rotation search on at most two passes
@@ -29,15 +34,17 @@ Claims covered:
       gives the verdict, first separating class and largest difference of
       the per-class loop on random distinct pairs at ranks 2 and 3, on
       inner-twist pairs (one point of Outer Space, so AGREE), on binary64
-      copies, on a set read back from CSV, and on a hand-made set whose
-      witnesses are not prefixes of one word; every prefix length it reads
+      copies and on a set read back from CSV; every prefix length it reads
       equals translation_length of the class
 """
 
 import csv
 import dataclasses
 import functools
+import gc
+import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -45,7 +52,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lsrigid import coding, psmeasure, rigidity, thermo, treemetric, words
+from lsrigid import cli, coding, psmeasure, rigidity, thermo, treemetric, words
 from lsrigid.coding import find_loop_for_class
 from lsrigid.errors import NotFoundError, ValidationError
 from lsrigid.rigidity import (
@@ -109,9 +116,49 @@ def test_rigid_set_csv_round_trip(rigid7, tmp_path):
     path = tmp_path / "E.csv"
     rigid7.to_csv(path)
     again = RigidSet.from_csv(path, rank=2)
-    fields = lambda e: (e.cls, e.power, e.n1, e.n2, e.witness1, e.witness2, e.ell1, e.ell2)
-    assert [fields(e) for e in again.entries] == [fields(e) for e in rigid7.entries]
+    assert again.word == rigid7.word
+    assert [(e.m1, e.m2) for e in again.entries] == [(e.m1, e.m2) for e in rigid7.entries]
+    assert again == rigid7
     assert again.witness_lengths() == rigid7.witness_lengths()
+
+
+def test_a_file_whose_witnesses_are_not_one_ray_prefix_is_refused(rigid7, tmp_path, capsys):
+    # rows of sets built on two rays: no set is one word with these witnesses
+    aug, transfer, entry_table = _chain("rose2")
+    ray = psmeasure.sample_ray(aug, transfer, entry_table, 22_000, seed=5)
+    classes = words.enumerate_classes(2, 3, identify_inverse=True)[:5]
+    other = rigidity.build_rigid_set(ray, classes, "sqrt", t_max=10_000)
+    other.to_csv(tmp_path / "other.csv")
+    rigid7.to_csv(tmp_path / "seed7.csv")
+    rows = (tmp_path / "other.csv").read_text().splitlines()[:4]
+    rows += (tmp_path / "seed7.csv").read_text().splitlines()[1:]
+    (tmp_path / "E.csv").write_text("\n".join(rows) + "\n")
+    message = f"{tmp_path / 'E.csv'}, line 2: a witness is not a prefix of the longest witness"
+    with pytest.raises(ValidationError) as refused:
+        RigidSet.from_csv(tmp_path / "E.csv")
+    assert str(refused.value) == message
+    (tmp_path / "g1.json").write_text(json.dumps({"rose": [1, 1]}))
+    (tmp_path / "g2.json").write_text(json.dumps({"rose": [1, 2]}))
+    argv = ["rigid", "verify", "--set", str(tmp_path / "E.csv"),
+            "--graph1", str(tmp_path / "g1.json"), "--graph2", str(tmp_path / "g2.json")]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_a_set_retains_one_word_not_a_copy_per_witness():
+    aug, transfer, entry_table = _chain("rose3")
+    ray = psmeasure.sample_ray(aug, transfer, entry_table, 100_000, seed=1)
+    classes = words.first_classes(3, 4, 20, identify_inverse=True)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        rigid = rigidity.build_rigid_set(ray, classes, "log", t_max=10_000)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(rigid.entries) == 20
+    assert retained <= 4_000_000
 
 
 def test_rank_and_length_recovery(rigid7):
@@ -158,30 +205,31 @@ def _reference_build(ray, classes, budget, t_max, m_max=8):
                 raise NotFoundError("horizon", horizon=len(ray))
             if not _budget_feasible(list(chosen.values()) + [n1, n2], budget, t_max):
                 continue
-            w1 = words.Word(letters[: witness_length(letters, n1)], rank)
-            w2 = words.Word(letters[: witness_length(letters, n2)], rank)
-            wc1 = words.cyclic_reduce(w1, identify_inverse=True)
-            wc2 = words.cyclic_reduce(w2, identify_inverse=True)
+            m1, m2 = witness_length(letters, n1), witness_length(letters, n2)
+            wc1 = words.cyclic_reduce(words.Word(letters[:m1], rank), identify_inverse=True)
+            wc2 = words.cyclic_reduce(words.Word(letters[:m2], rank), identify_inverse=True)
             tentative = dict(chosen)
             tentative[wc1] = len(wc1)
             tentative[wc2] = len(wc2)
             if not _budget_feasible(list(tentative.values()), budget, t_max):
                 continue
             chosen = tentative
-            entries.append(RigidSetEntry(c, loop.power, n1, n2, w1, w2, wc1, wc2, len(wc1), len(wc2)))
+            entries.append(RigidSetEntry(c, loop.power, n1, n2, m1, m2, wc1, wc2, len(wc1), len(wc2)))
             break
         else:
             raise NotFoundError("horizon", horizon=len(ray))
     return entries
 
 
-def _reference_csv(entries, path):
+def _reference_csv(entries, letters, rank, path):
+    """E.csv by csv.writer, each witness spelled from the ray's letters up to its end."""
+    spell = lambda m: str(words.Word(letters[:m], rank))
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["class", "M", "N1", "N2", "witness1", "witness2",
                          "ell_S(witness1)", "ell_S(witness2)"])
         for e in entries:
-            writer.writerow([str(e.cls), e.power, e.n1, e.n2, str(e.witness1), str(e.witness2),
+            writer.writerow([str(e.cls), e.power, e.n1, e.n2, spell(e.m1), spell(e.m2),
                              e.ell1, e.ell2])
 
 
@@ -189,9 +237,9 @@ def _assert_matches_reference(ray, classes, budget, t_max, tmp_path):
     rigid = rigidity.build_rigid_set(ray, classes, budget, t_max=t_max)
     expected = _reference_build(ray, classes, budget, t_max)
     assert list(rigid.entries) == expected
-    # the index and spelling the builder sets are those a copy of the set computes
-    assert rigid._prefix_index == dataclasses.replace(rigid)._prefix_index
-    assert rigid._longest_text == dataclasses.replace(rigid)._longest_text
+    letters = ray.word_letters()
+    longest = max(m for e in expected for m in (e.m1, e.m2))
+    assert rigid.word == bytes(l & 0xFF for l in letters[:longest])
     kept = {}
     for e in expected:
         kept.setdefault(e.witness_class1, e.ell1)
@@ -203,7 +251,7 @@ def _assert_matches_reference(ray, classes, budget, t_max, tmp_path):
         for c in rigid.witness_classes()
     ]
     rigid.to_csv(tmp_path / "E.csv")
-    _reference_csv(expected, tmp_path / "reference.csv")
+    _reference_csv(expected, letters, rigid.rank, tmp_path / "reference.csv")
     assert (tmp_path / "E.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
     return rigid
 
@@ -355,30 +403,15 @@ def test_verify_matches_the_per_class_loop(rigid7):
 def test_verify_a_set_read_back_from_csv(rigid7, tmp_path):
     rigid7.to_csv(tmp_path / "E.csv")
     again = RigidSet.from_csv(tmp_path / "E.csv", rank=2)
-    assert all(end is not None for end in again._class_ends[0])
     pairs = _pairs(2, 10, 13) + [_inner_twist_pair((Fraction(5, 4), Fraction(3)), (1, 2))]
     assert _assert_verifies_as_reference(again, pairs)[-2:] == ["AGREE", "AGREE"]
-
-
-def test_verify_a_hand_made_set_whose_witnesses_are_not_one_ray_prefix(rigid7, tmp_path):
-    aug, transfer, entry_table = _chain("rose2")
-    ray = psmeasure.sample_ray(aug, transfer, entry_table, 22_000, seed=5)
-    classes = words.enumerate_classes(2, 3, identify_inverse=True)[:5]
-    other = rigidity.build_rigid_set(ray, classes, "sqrt", t_max=10_000)
-    mixed = dataclasses.replace(rigid7, entries=other.entries[:3] + rigid7.entries)
-    assert None in mixed._prefix_index[1] and None in mixed._class_ends[0]
-    pairs = _pairs(2, 10, 15) + [_inner_twist_pair((Fraction(1, 2), Fraction(2)), (-1, 2, 2))]
-    assert _assert_verifies_as_reference(mixed, pairs)[-2:] == ["AGREE", "AGREE"]
-    mixed.to_csv(tmp_path / "E.csv")
-    _reference_csv(mixed.entries, tmp_path / "reference.csv")
-    assert (tmp_path / "E.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
 
 def test_prefix_walk_reads_the_translation_length_of_every_class(rigid7):
     twist2 = _inner_twist_pair((Fraction(3, 4), Fraction(3, 2)), (2, 1))
     twist3 = _inner_twist_pair((Fraction(1, 2), Fraction(5, 4), Fraction(3)), (-3, 2))
     for rigid, graphs in ((rigid7, [*twist2, *_pairs(2, 1, 16)[0]]), (_rank3_set(), [*twist3, *_pairs(3, 1, 17)[0]])):
-        letters = rigid._prefix_index[0].letters
+        letters = memoryview(rigid.word).cast("b")
         class_ends, ends = rigid._class_ends
         for graph in graphs + [treemetric.as_float(g) for g in graphs]:
             walk = rigidity._PrefixWalk(graph, letters, ends)
