@@ -7,7 +7,10 @@ arbitrary structures can be loaded from JSON.  ``check_reduced_coding``
 proves the bijection for every length at once; ``validate_strongly_markov``
 checks it ball by ball and serves as the reference.
 Augmentation appends a ``0`` state absorbing finite paths, so group elements
-and boundary rays both appear as infinite paths.
+and boundary rays both appear as infinite paths.  Components are the sets of
+mutually reachable states of the base coding, found with ``reachable``;
+a conjugacy class's loop in a component is found by following, letter by
+letter, the one step that reads each letter of a rotation of the class.
 """
 
 from __future__ import annotations
@@ -225,6 +228,13 @@ class AugmentedStructure(MarkovStructure):
         return self._index[ZERO]
 
 
+def _base_structure(ms: MarkovStructure) -> MarkovStructure:
+    """The coding an augmented copy was made from; any other structure itself."""
+    if isinstance(ms, AugmentedStructure) and ms.base is not None:
+        return ms.base
+    return ms
+
+
 def augment(ms: MarkovStructure) -> AugmentedStructure:
     if ZERO in ms.states:
         raise ValidationError(f"state name {ZERO!r} is reserved")
@@ -418,9 +428,6 @@ class Component:
             state = self.parent.index(state)
         return state in self._member
 
-    def succ_within(self, i: int) -> list[int]:
-        return [j for j in self.parent.succ[i] if j in self._member]
-
     def adjacency(self) -> np.ndarray:
         order = [self.parent.index(s) for s in self.states]
         pos = {g: k for k, g in enumerate(order)}
@@ -434,76 +441,29 @@ class Component:
 
 
 def scc_decompose(ms: MarkovStructure) -> tuple[list[Component], list[str]]:
-    """Tarjan decomposition of the non-initial, non-zero states.
+    """Components of the base coding's non-initial states, by mutual reachability.
 
-    Returns (components, transient_states): strongly connected pieces with at
-    least one internal edge, and the leftover singleton states.
+    An augmented copy is decomposed as its base coding, so every component's
+    parent is the coding.  State i lies on a component when it reaches itself
+    without entering the initial state; its component is then every state it
+    reaches that reaches it back.  Returns (components, transient_states):
+    the components ordered by their first state, each in state order, and
+    the leftover states in state order.
     """
-    skip = {ms.initial_index}
-    if ZERO in ms.states:
-        skip.add(ms.index(ZERO))
-    nodes = [i for i in range(ms.n_states) if i not in skip]
-    node_set = set(nodes)
-
-    index_of: dict[int, int] = {}
-    low: dict[int, int] = {}
-    on_stack: set[int] = set()
-    stack: list[int] = []
-    sccs: list[list[int]] = []
-    counter = 0
-
-    for root in nodes:
-        if root in index_of:
-            continue
-        work = [(root, iter([j for j in ms.succ[root] if j in node_set]))]
-        index_of[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for j in it:
-                if j not in index_of:
-                    index_of[j] = low[j] = counter
-                    counter += 1
-                    stack.append(j)
-                    on_stack.add(j)
-                    work.append((j, iter([u for u in ms.succ[j] if u in node_set])))
-                    advanced = True
-                    break
-                if j in on_stack:
-                    low[v] = min(low[v], index_of[j])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-            if low[v] == index_of[v]:
-                comp = []
-                while True:
-                    u = stack.pop()
-                    on_stack.discard(u)
-                    comp.append(u)
-                    if u == v:
-                        break
-                sccs.append(comp)
-
+    ms = _base_structure(ms)
+    first = ms.initial_index
+    nodes = [i for i in range(ms.n_states) if i != first]
+    reach = {i: ms.reachable([j for j in ms.succ[i] if j != first], {first}) for i in nodes}
     components: list[Component] = []
     transient: list[str] = []
-    for comp in sccs:
-        if len(comp) == 1:
-            i = comp[0]
-            if i in ms.succ[i]:
-                components.append(Component(parent=ms, states=(ms.states[i],)))
-            else:
-                transient.append(ms.states[i])
-        else:
-            names = sorted((ms.states[i] for i in comp), key=lambda s: ms.index(s))
-            components.append(Component(parent=ms, states=tuple(names)))
-    components.sort(key=lambda c: min(c.indices))
-    transient.sort(key=lambda s: ms.index(s))
+    placed: set[int] = set()
+    for i in nodes:
+        if i not in reach[i]:
+            transient.append(ms.states[i])
+        elif i not in placed:
+            members = [j for j in nodes if j in reach[i] and i in reach[j]]
+            placed.update(members)
+            components.append(Component(parent=ms, states=tuple(ms.states[j] for j in members)))
     return components, transient
 
 
@@ -593,21 +553,25 @@ def find_loop_for_class(
 ) -> LoopWitness:
     """Shortest loop in the component representing [c^(sign*M)] with minimal M.
 
-    Search walks the product of the component graph with the cyclic automaton
-    of c^m, m = 1..m_max, trying sign +1 before -1; ties are broken by
-    lexicographic state order, so the result is deterministic.
+    For m = 1..m_max, sign +1 before -1, the loop is the first closed walk
+    that spells a rotation of c^(sign*m) inside the component, trying start
+    states in state order and then rotations.  In a coding no two steps from
+    one state read the same letter, so a start and a rotation fix the walk;
+    a component state with two such steps raises ValidationError.
     """
     if c.is_trivial():
         raise ValueError("no loop for the trivial class")
     ms = comp.parent
-    member = sorted(comp.indices)
-    succ = {i: comp.succ_within(i) for i in member}
+    step = {}
+    for i in sorted(comp.indices):
+        step[i] = dict(zip(ms.labels[i], ms.succ[i]))
+        if len(step[i]) != len(ms.labels[i]):
+            raise ValidationError(f"two steps from {ms.states[i]} read one letter: not a coding")
     base = c.letters
     inv = tuple(-l for l in reversed(base))
     for m in range(1, m_max + 1):
         for sign, cyc in ((1, base * m), (-1, inv * m)):
-            length = len(cyc)
-            found = _cycle_spelling(ms, member, succ, cyc, length)
+            found = _cycle_spelling(step, cyc)
             if found is not None:
                 word = ms.ev(found)
                 target = cyclic_reduce(c.representative() ** (sign * m))
@@ -627,45 +591,19 @@ def find_loop_for_class(
     )
 
 
-def _cycle_spelling(ms, member, succ, cyc, length):
-    """First closed path of the given length spelling some rotation of ``cyc``."""
-    for start in member:
-        for offset in range(length):
-            # forward reachability with the rotated letter sequence
-            layers = [{start}]
-            dead = False
-            for t in range(length):
-                letter = cyc[(offset + t) % length]
-                nxt = set()
-                for i in layers[-1]:
-                    for j in succ[i]:
-                        if ms.label_of(i, j) == letter:
-                            nxt.add(j)
-                if not nxt:
-                    dead = True
-                    break
-                layers.append(nxt)
-            if dead or start not in layers[length]:
-                continue
-            # backward pass: states that still reach `start` in the remaining steps
-            alive = [set() for _ in range(length + 1)]
-            alive[length] = {start}
-            for t in range(length - 1, -1, -1):
-                letter = cyc[(offset + t) % length]
-                for i in layers[t]:
-                    for j in succ[i]:
-                        if ms.label_of(i, j) == letter and j in alive[t + 1]:
-                            alive[t].add(i)
-            if start not in alive[0]:
-                continue
+def _cycle_spelling(step: dict, cyc: tuple[int, ...]) -> tuple[int, ...] | None:
+    """First closed walk spelling a rotation of ``cyc``, by start state and
+    then rotation.  ``step[i]`` maps each letter read from component state i
+    to the state it leads to; a walk that leaves the component stops."""
+    for start in step:
+        for offset in range(len(cyc)):
             path = [start]
-            for t in range(length):
-                letter = cyc[(offset + t) % length]
-                step = sorted(
-                    j
-                    for j in succ[path[-1]]
-                    if ms.label_of(path[-1], j) == letter and j in alive[t + 1]
-                )
-                path.append(step[0])
-            return tuple(path)
+            for letter in cyc[offset:] + cyc[:offset]:
+                j = step[path[-1]].get(letter)
+                if j not in step:
+                    break
+                path.append(j)
+            else:
+                if path[-1] == start:
+                    return tuple(path)
     return None

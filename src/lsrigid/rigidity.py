@@ -303,8 +303,10 @@ class RigidSet:
     def from_csv(cls, path, rank: int | None = None) -> "RigidSet":
         """The set ``to_csv`` wrote; without ``rank``, the rank is the largest
         letter in the file, at least 2.  A missing or malformed field, a
-        letter beyond the rank, or a witness that is not a prefix of the
-        longest (so not of one word) is a ValidationError naming the line."""
+        letter beyond the rank, a witness that is not a prefix of the
+        longest (so not of one word), a witness length other than N - 1 or
+        N, or an ell_S other than the length of the witness's class is a
+        ValidationError naming the line."""
         with open(path, newline="") as fh:
             reader = csv.DictReader(fh)
             rows = [_read_row(row, f"{path}, line {reader.line_num}") for row in reader]
@@ -321,7 +323,12 @@ class RigidSet:
             if word[: len(w1)] != w1 or word[: len(w2)] != w2:
                 raise ValidationError(f"{where}: a witness is not a prefix of the longest witness")
             ends = (len(w1), len(w2))
-            witness_classes = [_witness_class(word, (m, _prefix_depth(word, m)), rank) for m in ends]
+            if not (n1 - 1 <= ends[0] <= n1 and n2 - 1 <= ends[1] <= n2):
+                raise ValidationError(f"{where}: a witness is not its N trimmed by at most one letter")
+            cores = [(m, _prefix_depth(word, m)) for m in ends]
+            if [m - 2 * d for m, d in cores] != [ell1, ell2]:
+                raise ValidationError(f"{where}: an ell_S is not the length of its witness's class")
+            witness_classes = [_witness_class(word, core, rank) for core in cores]
             indexed = cyclic_reduce(Word(c, rank), identify_inverse=True)
             entries.append(RigidSetEntry(indexed, power, n1, n2, *ends, *witness_classes, ell1, ell2))
         return cls(rank=rank, word=array("b", word).tobytes(), entries=tuple(entries))

@@ -27,19 +27,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .coding import AugmentedStructure, Component, MarkovStructure, ZERO, classify_components
+from .coding import Component, MarkovStructure, _base_structure, classify_components
 from .errors import ConvergenceError, LsrigidError, ValidationError
 from .treemetric import MetricGraph, window_increments
 
 EIG_RESIDUAL_TOL = 1e-10
 CHAIN_TOL = 1e-12
 PRESSURE_ROOT_TOL = 1e-9
-
-
-def _base_structure(ms: MarkovStructure) -> MarkovStructure:
-    if isinstance(ms, AugmentedStructure) and ms.base is not None:
-        return ms.base
-    return ms
 
 
 @dataclass
@@ -78,9 +72,8 @@ class Potential:
 
 
 def _blocks(ms: MarkovStructure, k: int):
-    """Admissible k-edge state paths that avoid the 0 state, from every start."""
-    live = [i for i, name in enumerate(ms.states) if name != ZERO]
-    return ms.paths(k, starts=live, within=frozenset(live))
+    """Admissible k-edge state paths of a base coding, from every start."""
+    return ms.paths(k, starts=range(ms.n_states))
 
 
 def potential_from_metric(ms: MarkovStructure, metric: MetricGraph, k: int | None = None) -> Potential:
@@ -575,11 +568,10 @@ def sweep_telescoping(
     depth_of = {k: min(k, exact) for k in ks}
     pots = {d: potential_from_metric(base, metric, d) for d in sorted(set(depth_of.values()))}
     worst = {d: 0.0 for d in pots}
-    zero = base.index(ZERO) if ZERO in base.states else None
     for _ in range(n_paths):
         path = [base.initial_index]
         for _ in range(n_steps + exact):
-            options = [j for j in base.succ[path[-1]] if j != zero]
+            options = base.succ[path[-1]]
             if not options:
                 raise ValidationError("dead end while sampling a telescoping path")
             path.append(options[int(rng.integers(len(options)))])

@@ -21,8 +21,10 @@ Claims covered:
     - ``rigid verify`` refuses a set whose rank is not the metrics' rank, in
       either direction, with the validation exit code
     - ``rigid verify`` refuses a malformed E.csv (a missing column, a
-      non-integer, a witness that is not a word or not freely reduced) with
-      the validation exit code and a message naming the file and line
+      non-integer, a witness that is not a word or not freely reduced, an
+      ell_S that is not its witness's class length, a witness that does not
+      end at N or N - 1) with the validation exit code and a message naming
+      the file and line
     - exit codes: 2 for a non-isomorphic marking (tagged with its stage), 3
       for a ball over the resource cap and for a graph whose increment window
       passes the cap (``thermo growth``), 4 for a ray too short for the rigid
@@ -269,7 +271,12 @@ _E_HEADER = "class,M,N1,N2,witness1,witness2,ell_S(witness1),ell_S(witness2)\n"
     (_E_HEADER + "a,x,1,2,a,ab,1,2\n", "line 2: M 'x' is not an integer"),
     (_E_HEADER + "a,1,1,2,a,a-b,1,2\n", "line 2: witness2 'a-b' is not a word"),
     (_E_HEADER + "b,1,1,2,a,ab,1,2\nb,1,2,3,ab,aAb,2,1\n", "line 3: witness2 'aAb' is not freely reduced"),
-], ids=["missing-column", "non-integer", "not-a-word", "not-reduced"])
+    # the class of aB has length 2: an ell_S of 7 once loaded and counted as 7
+    (_E_HEADER + "b,1,1,2,a,aB,1,2\nb,1,3,2,aB,aB,2,7\n",
+     "line 3: an ell_S is not the length of its witness's class"),
+    # the witness ab ends at 2, not at N1 = 999999 or one letter before it
+    (_E_HEADER + "a,1,999999,2,ab,ab,2,2\n", "line 2: a witness is not its N trimmed by at most one letter"),
+], ids=["missing-column", "non-integer", "not-a-word", "not-reduced", "ell-not-the-class-length", "end-not-at-N"])
 def test_rigid_verify_refuses_a_malformed_set(tmp_path, capsys, text, message):
     (tmp_path / "E.csv").write_text(text)
     assert _rigid_verify(tmp_path, tmp_path / "E.csv", {"rose": [1, 1]}, {"rose": [1, 2]}) == 2

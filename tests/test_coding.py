@@ -12,8 +12,14 @@ Claims covered:
       the last-two-letters coding retargeted to bb is one)
     - augmentation adds the absorbing 0 state without changing images
     - the path enumerator and the reachability walk agree with brute force
-    - component decomposition, exact spectral radii, word-maximality flags
-    - loop representatives spell cyclically reduced words with power 1
+    - component decomposition, exact spectral radii, word-maximality flags;
+      on random structures the components and transients are those of a
+      boolean transitive closure, in state order, and an augmented copy has
+      its base coding's components, with the base as their parent
+    - loop representatives spell cyclically reduced words with power 1; the
+      loop of every class of cyclic length <= 4 at ranks 2 and 3 is the first
+      closed path a brute force over ``paths`` finds, by start and rotation;
+      a component state with two steps reading one letter is refused
 """
 
 import itertools
@@ -21,6 +27,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lsrigid import coding, fixtures, words
 from lsrigid.coding import (
@@ -297,6 +305,56 @@ def test_scc_with_transients_and_cycles():
     assert len(comps) == 1 and transient == ["d"]
 
 
+@st.composite
+def _random_structures(draw):
+    """2-12 states with random labelled edges (self-loops and edges into the
+    initial state among them), each state k > 0 entered from an earlier one,
+    so every state is reachable from the initial state."""
+    n = draw(st.integers(2, 12))
+    letter = st.sampled_from(words.alphabet(2))
+    edges = {(draw(st.integers(0, k - 1)), k): draw(letter) for k in range(1, n)}
+    for i, j in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3 * n)):
+        edges.setdefault((i, j), draw(letter))
+    succ = tuple(tuple(sorted(j for (h, j) in edges if h == i)) for i in range(n))
+    labels = tuple(tuple(edges[i, j] for j in targets) for i, targets in enumerate(succ))
+    states = ("*",) + tuple(f"s{k}" for k in range(1, n))
+    return coding.MarkovStructure(rank=2, states=states, succ=succ, labels=labels)
+
+
+def _closure_components(ms):
+    """Components and transients from a boolean transitive closure of the
+    non-initial states' adjacency: A | A@A | ... until it stops growing."""
+    nodes = [i for i in range(ms.n_states) if i != ms.initial_index]
+    a = np.array([[j in ms.succ[i] for j in nodes] for i in nodes], dtype=bool)
+    closure = a
+    while True:
+        grown = closure | ((closure.astype(int) @ closure.astype(int)) > 0)
+        if (grown == closure).all():
+            break
+        closure = grown
+    components, transient, placed = [], [], set()
+    for p, i in enumerate(nodes):
+        if not closure[p, p]:
+            transient.append(ms.states[i])
+        elif i not in placed:
+            members = [nodes[q] for q in range(len(nodes)) if closure[p, q] and closure[q, p]]
+            placed.update(members)
+            components.append(tuple(ms.states[j] for j in members))
+    return components, transient
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_random_structures())
+def test_scc_matches_the_transitive_closure(ms):
+    comps, transient = scc_decompose(ms)
+    assert ([c.states for c in comps], transient) == _closure_components(ms)
+    assert all(c.parent is ms for c in comps)
+    # an augmented copy has the components of its base coding
+    aug_comps, aug_transient = scc_decompose(augment(ms))
+    assert (aug_comps, aug_transient) == (comps, transient)
+    assert all(c.parent is ms for c in aug_comps)
+
+
 def test_classification_exact(free2):
     report = classify_components(free2)
     assert len(report.components) == 1
@@ -383,6 +441,45 @@ def test_find_loop_not_found():
     cycle = next(c for c in comps if len(c.states) == 2)
     with pytest.raises(NotFoundError):
         find_loop_for_class(ConjClass.from_str("aa", 2), cycle, m_max=3)
+
+
+def _brute_loop(c, comp, m_max=8):
+    """The first closed path spelling a rotation of c^(sign*m), listed by
+    ``MarkovStructure.paths`` inside the component: by m, sign, start state
+    and then rotation."""
+    ms, member = comp.parent, comp.indices
+    inv = tuple(-l for l in reversed(c.letters))
+    for m in range(1, m_max + 1):
+        for cyc in (c.letters * m, inv * m):
+            for s in sorted(member):
+                for offset in range(len(cyc)):
+                    rotation = cyc[offset:] + cyc[:offset]
+                    for path in ms.paths(len(cyc), starts=[s], within=member):
+                        if path[-1] == s and tuple(map(ms.label_of, path, path[1:])) == rotation:
+                            return tuple(ms.states[i] for i in path)
+    return None
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: build_free_group_coding(2), lambda: build_free_group_coding(3), lambda: fixtures.coding_with_backtrack(2)],
+    ids=["free2", "free3", "backtrack"],
+)
+def test_find_loop_is_the_first_closed_path_by_start_and_rotation(make):
+    ms = make()
+    (comp,) = scc_decompose(ms)[0]
+    for identify_inverse in (False, True):
+        for c in words.enumerate_classes(ms.rank, 4, identify_inverse=identify_inverse):
+            assert find_loop_for_class(c, comp).states == _brute_loop(c, comp)
+
+
+def test_find_loop_refuses_two_steps_reading_one_letter():
+    # b steps to a and to a2, both reading a: two paths spell one word
+    ms = fixtures._with_extra(build_free_group_coding(2), ["a2"], [("b", "a2", 1), ("a2", "b", 2)])
+    (comp,) = scc_decompose(ms)[0]
+    assert comp.contains("a2")
+    with pytest.raises(ValidationError, match="two steps from b read one letter"):
+        find_loop_for_class(ConjClass.from_str("ab", 2), comp)
 
 
 def test_loops_spell_cyclically_reduced_words(free2, comp2):

@@ -318,7 +318,7 @@ def _dist_reference(ms, k, dist):
     """The dist-based construction the increments table replaced: each
     k-block's value is dist(labels) - dist(labels without the first), and the
     table is reduced to the least range its values depend on."""
-    base = thermo._base_structure(ms)
+    base = coding._base_structure(ms)
     table = {}
     for block in thermo._blocks(base, k):
         labels = tuple(map(base.label_of, block, block[1:]))
