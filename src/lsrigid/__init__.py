@@ -49,7 +49,6 @@ from .rigidity import (
     RigidSetEntry,
     RoughRay,
     build_rigid_set,
-    occurrence_matrix,
     parse_budget,
     recover_lengths,
     rose_rank_check,

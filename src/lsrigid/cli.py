@@ -236,7 +236,7 @@ def cmd_rigid_build(args) -> int:
     classes = words.first_classes(ms.rank, args.maxlen, args.classes, identify_inverse=True)
     rigid = rigidity.build_rigid_set(ray, classes, args.budget, t_max=args.tmax, m_max=args.mmax)
     rigid.to_csv(args.out)
-    print(f"{len(rigid.entries)} entries, {len(rigid.witness_classes())} witness classes -> {args.out}")
+    print(f"{len(rigid.entries)} entries, {rigid.n_witness_classes} witness classes -> {args.out}")
     return 0
 
 
@@ -248,14 +248,14 @@ def cmd_rigid_verify(args) -> int:
     if verdict.separated:
         print(f"SEPARATED by [{verdict.first_separating}] (diff {verdict.max_diff})")
     else:
-        print(f"AGREE on all {len(rigid.witness_classes())} witness classes (max diff {verdict.max_diff})")
+        print(f"AGREE on all {rigid.n_witness_classes} witness classes (max diff {verdict.max_diff})")
     return 0
 
 
 def cmd_rigid_rank(args) -> int:
     rigid = rigidity.RigidSet.from_csv(args.set)
     rank = rigidity.rose_rank_check(rigid)
-    print(f"occurrence matrix: {len(rigid.witness_classes())} classes x {rigid.rank} generators")
+    print(f"occurrence matrix: {rigid.n_witness_classes} classes x {rigid.rank} generators")
     print(f"rational rank: {rank} ({'full' if rank == rigid.rank else 'DEFICIENT'})")
     return 0 if rank == rigid.rank else 2
 
@@ -313,6 +313,12 @@ def run_pipeline(config_path, out_dir, seed_override: int | None = None) -> dict
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     inputs: dict[str, str] = {}
+    written: dict[str, str] = {}  # digests of the files written here, from the bytes written
+
+    def write_json(name: str, payload: dict) -> None:
+        data = (json.dumps(payload, indent=2) + "\n").encode()
+        (out / name).write_bytes(data)
+        written[name] = _digest_bytes(data)
 
     with stage("config"):
         raw = Path(config_path).read_bytes()
@@ -372,12 +378,12 @@ def run_pipeline(config_path, out_dir, seed_override: int | None = None) -> dict
     with stage("rank"):
         rank = rigidity.rose_rank_check(rigid)
         rank_report = {
-            "witness_classes": len(rigid.witness_classes()),
+            "witness_classes": rigid.n_witness_classes,
             "generators": rigid.rank,
             "rank": rank,
             "full_rank": rank == rigid.rank,
         }
-        (out / "rank_report.json").write_text(json.dumps(rank_report, indent=2) + "\n")
+        write_json("rank_report.json", rank_report)
 
     with stage("battery"):
         battery = rigidity.separation_battery(
@@ -389,7 +395,7 @@ def run_pipeline(config_path, out_dir, seed_override: int | None = None) -> dict
             "all_separated": battery.all_separated,
             "agreeing_pairs": [list(t) for t in battery.agree_tags],
         }
-        (out / "separation_report.json").write_text(json.dumps(battery_report, indent=2) + "\n")
+        write_json("separation_report.json", battery_report)
 
     with stage("plots"):
         lengths = [e for entry in rigid.entries for e in (entry.ell1, entry.ell2)]
@@ -401,12 +407,12 @@ def run_pipeline(config_path, out_dir, seed_override: int | None = None) -> dict
             ylabel="ell_S",
         )
         budget = rigidity.parse_budget(str(config["budget"]))
-        ts = [t for t in range(1, int(config["tmax"]) + 1, max(1, int(config["tmax"]) // 400))]
+        ts = list(range(1, int(config["tmax"]) + 1, max(1, int(config["tmax"]) // 400)))
         line_plot(
             out / "budget_curve.svg",
             [
                 Series("#{ell < T}", ts, rigid.count_below(ts)),
-                Series(f"f(T) = {budget.name}", ts, [budget(t) for t in ts]),
+                Series(f"f(T) = {budget.name}", ts, list(map(budget.fn, ts))),
             ],
             title="Sparsity budget",
             xlabel="T",
@@ -425,12 +431,12 @@ def run_pipeline(config_path, out_dir, seed_override: int | None = None) -> dict
             "inputs": inputs,
             "tool_version": __version__,
             "wall_clock_s": round(time.time() - t_start, 3),
-            "outputs": {name: _digest_file(out / name) for name in outputs},
+            "outputs": {name: written.get(name) or _digest_file(out / name) for name in outputs},
             "v_star": growth.v_star,
             "rank_report": rank_report,
             "battery": battery_report,
         }
-        (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+        write_json("manifest.json", manifest)
     return manifest
 
 

@@ -30,7 +30,6 @@ from .treemetric import MetricGraph, _cyclic_core, marked_rose, rose
 from .words import (
     ConjClass,
     Word,
-    _canonical_rotation,
     _spell_bytes,
     char_to_letter,
     compose_substitutions,
@@ -104,10 +103,19 @@ def _witness_core(letters: Sequence[int], n: int) -> tuple[int, int]:
     return m, _prefix_depth(letters, m)
 
 
-def _witness_class(letters: Sequence[int], core: tuple[int, int], rank: int) -> ConjClass:
-    """The class of the witness with this (m, depth), canonicalised once."""
-    m, d = core
-    return ConjClass._of_canonical(_canonical_rotation(letters[d : m - d], True), rank, True)
+_NEGATE = bytes(-b & 0xFF for b in range(256))  # a letter's signed byte to its inverse's
+
+
+def _same_class(a: bytes, b: bytes) -> bool:
+    """Whether two cyclically reduced cores (signed bytes) spell one class,
+    inverses identified: b or its inverse is a rotation of a."""
+    return len(a) == len(b) and (b in a + a or b.translate(_NEGATE)[::-1] in a + a)
+
+
+def _known(cores: dict[int, list[bytes]], core: bytes) -> bool:
+    """Whether the class of ``core`` is among ``cores``, the cores of distinct
+    classes by length; only the cores of its own length are compared."""
+    return any(_same_class(c, core) for c in cores.get(len(core), ()))
 
 
 @dataclass(frozen=True)
@@ -173,6 +181,12 @@ class _RayPrefix:
         self.steps = self.spell(self.size)  # the letters as int8
         self.letters = memoryview(self.steps)  # read as Python ints
 
+    def witness(self, n: int) -> tuple[int, bytes]:
+        """The end along the letters of the witness at position n, and the
+        core of its class as signed bytes."""
+        m, d = _witness_core(self.letters, n)
+        return m, self.steps[d : m - d].tobytes()
+
     def occurrences(self, pattern: Sequence[int]):
         """(n1, n2) for each occurrence of the state pattern at a start
         n1 >= 1, in ray order, where n2 = n1 + len(pattern) - 1, as long as
@@ -213,7 +227,8 @@ class RigidSetEntry:
     """One class of a rigid set and its witness pair.  The witnesses are the
     prefixes ``word[:m1]`` and ``word[:m2]`` of the set's word, read off the
     ray at the positions n1 and n2 that bound one loop traversal; their
-    classes have lengths ell1 and ell2."""
+    classes have lengths ell1 and ell2, so the core of the first class is
+    ``word[d:m1 - d]`` with d = (m1 - ell1) / 2."""
 
     cls: ConjClass
     power: int
@@ -221,8 +236,6 @@ class RigidSetEntry:
     n2: int
     m1: int
     m2: int
-    witness_class1: ConjClass
-    witness_class2: ConjClass
     ell1: int
     ell2: int
 
@@ -238,35 +251,60 @@ class RigidSet:
     word: bytes = field(repr=False)
     entries: tuple[RigidSetEntry, ...]
 
-    # Witness classes can be thousands of letters long and are queried once
-    # per battery pair and per plot point, so they are hashed and sorted once.
+    # Witness classes can be thousands of letters long.  Each is told apart
+    # from the others by its core along ``word``, and canonicalised only when
+    # a caller asks for its ConjClass.
+
+    def _core(self, ell: int, m: int) -> bytes:
+        """The core of the class of the witness word[:m], of length ell."""
+        d = (m - ell) // 2
+        return self.word[d : m - d]
 
     @cached_property
-    def _witness_lengths(self) -> dict[ConjClass, int]:
-        out = {}
+    def _built(self) -> dict[int, ConjClass]:  # the witness classes asked for, by end
+        return {}
+
+    def _witness_class(self, m: int) -> ConjClass:
+        """The class of the witness word[:m]."""
+        if m not in self._built:
+            letters = tuple(memoryview(self.word).cast("b")[:m])
+            self._built[m] = cyclic_reduce(Word(letters, self.rank), identify_inverse=True)
+        return self._built[m]
+
+    @cached_property
+    def _classes(self) -> tuple[tuple[int, int], ...]:
+        """(ell, m) for each distinct witness class: its length and the end
+        along ``word`` of its first witness in the entries, in (length,
+        word_key) order.  word_key is only spelled out within a tie."""
+        cores: dict[int, list[bytes]] = {}
+        first = []
         for e in self.entries:
-            out.setdefault(e.witness_class1, e.ell1)
-            out.setdefault(e.witness_class2, e.ell2)
-        return out
-
-    @cached_property
-    def _witness_order(self) -> tuple[ConjClass, ...]:
-        # (length, word_key) order; word_key is only spelled out within a tie
-        order: list[ConjClass] = []
-        for _, tie in groupby(sorted(self._witness_lengths, key=len), key=len):
+            for ell, m in ((e.ell1, e.m1), (e.ell2, e.m2)):
+                core = self._core(ell, m)
+                if not _known(cores, core):
+                    cores.setdefault(ell, []).append(core)
+                    first.append((ell, m))
+        order: list[tuple[int, int]] = []
+        for _, tie in groupby(sorted(first, key=lambda c: c[0]), key=lambda c: c[0]):
             tie = list(tie)
-            order.extend(sorted(tie, key=lambda c: word_key(c.letters)) if len(tie) > 1 else tie)
+            if len(tie) > 1:
+                tie.sort(key=lambda c: word_key(self._witness_class(c[1]).letters))
+            order.extend(tie)
         return tuple(order)
 
+    @property
+    def n_witness_classes(self) -> int:
+        return len(self._classes)
+
     def witness_classes(self) -> list[ConjClass]:
-        return list(self._witness_order)
+        return [self._witness_class(m) for _, m in self._classes]
 
     def witness_lengths(self) -> dict[ConjClass, int]:
-        return dict(self._witness_lengths)
+        return {self._witness_class(m): ell for ell, m in self._classes}
 
     @cached_property
     def _sorted_lengths(self) -> np.ndarray:
-        return np.sort(np.fromiter(self._witness_lengths.values(), dtype=float))
+        return np.array([ell for ell, _ in self._classes], dtype=float)
 
     def count_below(self, t: float | Sequence[float]) -> int | list[int]:
         """The number of witness classes of length below t; a list of those
@@ -274,19 +312,9 @@ class RigidSet:
         return np.searchsorted(self._sorted_lengths, t, side="left").tolist()
 
     @cached_property
-    def _class_ends(self) -> tuple[tuple[int, ...], list[int]]:
-        """The end along ``word`` of each witness class's first witness, in
-        ``witness_classes`` order, and the distinct ends in ascending order.
-        The classes of ``_witness_order`` are the keys of
-        ``_witness_lengths``: the first object of each class in the entries.
-        So they are matched by identity; hashing every witness class again
-        would read all their letters."""
-        first: dict[int, int] = {}
-        for e in self.entries:
-            first.setdefault(id(e.witness_class1), e.m1)
-            first.setdefault(id(e.witness_class2), e.m2)
-        ends = tuple(first[id(c)] for c in self._witness_order)
-        return ends, sorted(set(ends))
+    def _class_ends(self) -> list[int]:
+        """The distinct ends of the classes' first witnesses, ascending."""
+        return sorted({m for _, m in self._classes})
 
     def to_csv(self, path) -> None:
         # Every field is letters, digits or "ell_S(...)", so none needs quoting
@@ -296,8 +324,8 @@ class RigidSet:
             [str(e.cls), e.power, e.n1, e.n2, text[: e.m1] or "1", text[: e.m2] or "1", e.ell1, e.ell2]
             for e in self.entries
         ]
-        with open(path, "w", newline="") as fh:
-            fh.write("".join(",".join(map(str, row)) + "\r\n" for row in rows))
+        with open(path, "wb") as fh:
+            fh.write("".join(",".join(map(str, row)) + "\r\n" for row in rows).encode())
 
     @classmethod
     def from_csv(cls, path, rank: int | None = None) -> "RigidSet":
@@ -328,9 +356,8 @@ class RigidSet:
             cores = [(m, _prefix_depth(word, m)) for m in ends]
             if [m - 2 * d for m, d in cores] != [ell1, ell2]:
                 raise ValidationError(f"{where}: an ell_S is not the length of its witness's class")
-            witness_classes = [_witness_class(word, core, rank) for core in cores]
             indexed = cyclic_reduce(Word(c, rank), identify_inverse=True)
-            entries.append(RigidSetEntry(indexed, power, n1, n2, *ends, *witness_classes, ell1, ell2))
+            entries.append(RigidSetEntry(indexed, power, n1, n2, *ends, ell1, ell2))
         return cls(rank=rank, word=array("b", word).tobytes(), entries=tuple(entries))
 
 
@@ -392,10 +419,11 @@ def build_rigid_set(
     t_max; witness lengths grow linearly with position, so a feasible
     position always exists on a long enough ray.
 
-    A witness class's length is read off the ray (prefix length minus twice
-    the conjugation depth).  Its canonical form is only needed to tell it
-    from a chosen class or from the pair's other witness of the same length,
-    and for the pair that is kept.
+    A witness class is read off the ray: its length (prefix length minus
+    twice the conjugation depth) and its core, the letters between the
+    conjugating ends.  It is told apart from a chosen class, or from the
+    pair's other witness, by comparing cores of one length as cyclic words
+    (``_same_class``); no witness class is put in canonical form.
 
     The ray is read only as far as the occurrences it uses, in a prefix
     that doubles from 2^12 states: each class scans the prefix, and the
@@ -410,8 +438,8 @@ def build_rigid_set(
     if isinstance(budget, str):
         budget = parse_budget(budget)
     prefix = _RayPrefix(ray)
-    rank = ray.structure.rank
-    chosen: dict[ConjClass, int] = {}
+    chosen: dict[int, list[bytes]] = {}  # the cores of the chosen classes, by length
+    taken: list[int] = []  # their lengths
     entries: list[RigidSetEntry] = []
     for c in classes:
         if c.is_trivial():
@@ -419,45 +447,20 @@ def build_rigid_set(
         loop = find_loop_for_class(c, ray.component, m_max)
         pattern = ray.structure.resolve(loop.states)
         for n1, n2 in prefix.occurrences(pattern):
-            letters = prefix.letters
             # optimistic reject: larger values only make the budget easier
-            optimistic = list(chosen.values()) + [n1, n2]
-            if not _budget_feasible(optimistic, budget, t_max):
+            if not _budget_feasible(taken + [n1, n2], budget, t_max):
                 continue
-            core1, core2 = _witness_core(letters, n1), _witness_core(letters, n2)
-            ell1, ell2 = core1[0] - 2 * core1[1], core2[0] - 2 * core2[1]
-            # a witness class can only repeat a chosen class, or the other
-            # witness's class, of its own length
-            taken = chosen.values()
-            wc1 = _witness_class(letters, core1, rank) if ell1 in taken or ell1 == ell2 else None
-            wc2 = _witness_class(letters, core2, rank) if ell2 in taken or ell1 == ell2 else None
-            fresh = list(chosen.values())
-            if wc1 not in chosen:
-                fresh.append(ell1)
-            if wc2 not in chosen and (ell2 != ell1 or wc2 != wc1):
-                fresh.append(ell2)
+            (m1, core1), (m2, core2) = prefix.witness(n1), prefix.witness(n2)
+            new1 = not _known(chosen, core1)
+            new2 = not _known(chosen, core2) and not _same_class(core1, core2)
+            fresh = taken + [len(core1)] * new1 + [len(core2)] * new2
             if not _budget_feasible(fresh, budget, t_max):
                 continue
-            if wc1 is None:
-                wc1 = _witness_class(letters, core1, rank)
-            if wc2 is None:
-                wc2 = _witness_class(letters, core2, rank)
-            chosen[wc1] = ell1
-            chosen[wc2] = ell2
-            entries.append(
-                RigidSetEntry(
-                    cls=c,
-                    power=loop.power,
-                    n1=n1,
-                    n2=n2,
-                    m1=core1[0],
-                    m2=core2[0],
-                    witness_class1=wc1,
-                    witness_class2=wc2,
-                    ell1=ell1,
-                    ell2=ell2,
-                )
-            )
+            for new, core in ((new1, core1), (new2, core2)):
+                if new:
+                    chosen.setdefault(len(core), []).append(core)
+            taken = fresh
+            entries.append(RigidSetEntry(c, loop.power, n1, n2, m1, m2, len(core1), len(core2)))
             break
         else:
             raise NotFoundError(
@@ -466,13 +469,13 @@ def build_rigid_set(
                 horizon=len(ray),
             )
     longest = max((m for e in entries for m in (e.m1, e.m2)), default=0)
-    return RigidSet(rank=rank, word=prefix.steps[:longest].tobytes(), entries=tuple(entries))
+    return RigidSet(rank=ray.structure.rank, word=prefix.steps[:longest].tobytes(), entries=tuple(entries))
 
 
-def witness_deviation(entry: RigidSetEntry, graph: MetricGraph):
-    """|ell(witness2) - ell(witness1) - M * ell(class)| for one metric, exactly."""
-    l1 = graph.translation_length(entry.witness_class1)
-    l2 = graph.translation_length(entry.witness_class2)
+def witness_deviation(rigid: RigidSet, entry: RigidSetEntry, graph: MetricGraph):
+    """|ell(witness2) - ell(witness1) - M * ell(class)| for one entry and metric, exactly."""
+    l1 = graph.translation_length(rigid._witness_class(entry.m1))
+    l2 = graph.translation_length(rigid._witness_class(entry.m2))
     lc = graph.translation_length(entry.cls)
     return abs(l2 - l1 - entry.power * lc)
 
@@ -480,27 +483,14 @@ def witness_deviation(entry: RigidSetEntry, graph: MetricGraph):
 # -- occurrence matrix, rank, recovery ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class OccurrenceMatrix:
-    classes: tuple[ConjClass, ...]
-    counts: tuple[tuple[int, ...], ...]  # one row per class, one column per generator
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self.counts, dtype=np.int64)
-
-
-def occurrence_matrix(rigid: RigidSet) -> OccurrenceMatrix:
-    """Unsigned generator-occurrence counts of the witness classes.
-
-    Row sums equal the cyclic lengths, so on the rose stratum the translation
-    lengths are exactly this matrix applied to the edge lengths.
-    """
-    classes = tuple(rigid.witness_classes())
-    counts = tuple(
-        tuple(c.letters.count(i) + c.letters.count(-i) for i in range(1, rigid.rank + 1))
-        for c in classes
-    )
-    return OccurrenceMatrix(classes=classes, counts=counts)
+def _letter_counts(rigid: RigidSet) -> tuple[tuple[int, ...], ...]:
+    """The occurrence matrix: unsigned generator counts of each witness
+    class, in ``witness_classes`` order, counted over its core along the
+    set's word.  Row sums equal the cyclic lengths, so on the rose stratum
+    the translation lengths are this matrix applied to the edge lengths."""
+    cores = (np.frombuffer(rigid._core(ell, m), np.uint8) for ell, m in rigid._classes)
+    counts = (np.bincount(core, minlength=256) for core in cores)  # letter -i is the byte 256 - i
+    return tuple(tuple(int(c[i] + c[256 - i]) for i in range(1, rigid.rank + 1)) for c in counts)
 
 
 def _rational_rank(rows: Sequence[Sequence[int]]) -> int:
@@ -531,7 +521,7 @@ def _rational_rank(rows: Sequence[Sequence[int]]) -> int:
 def rose_rank_check(rigid: RigidSet) -> int:
     """Rational rank of the occurrence matrix; equal to the rank of the group
     iff the witness lengths pin down every rose's edge lengths."""
-    return _rational_rank(occurrence_matrix(rigid).counts)
+    return _rational_rank(_letter_counts(rigid))
 
 
 @dataclass(frozen=True)
@@ -553,13 +543,13 @@ def recover_lengths(
     """
     import scipy.optimize
 
-    matrix = occurrence_matrix(rigid)
-    rank = _rational_rank(matrix.counts)
+    counts = _letter_counts(rigid)
+    rank = _rational_rank(counts)
     if rank < rigid.rank:
         raise ValidationError(f"occurrence matrix rank {rank} < {rigid.rank}")
     getter = targets.__getitem__ if isinstance(targets, dict) else targets
-    a = matrix.as_array().astype(float)
-    b = np.array([float(getter(c)) for c in matrix.classes])
+    a = np.array(counts, dtype=float)
+    b = np.array([float(getter(c)) for c in rigid.witness_classes()])
     lengths, residual = scipy.optimize.nnls(a, b)
     return Recovery(
         lengths=tuple(float(x) for x in lengths),
@@ -627,12 +617,12 @@ def verify_separation(rigid: RigidSet, t1: MetricGraph, t2: MetricGraph) -> Sepa
         raise ValidationError(f"rigid set has rank {rigid.rank}, the metrics rank {t1.rank}")
     tol = 0 if t1.rational and t2.rational else 1e-9
     letters = memoryview(rigid.word).cast("b")
-    class_ends, ends = rigid._class_ends
-    walk1, walk2 = _PrefixWalk(t1, letters, ends), _PrefixWalk(t2, letters, ends)
+    walk1, walk2 = (_PrefixWalk(t, letters, rigid._class_ends) for t in (t1, t2))
     max_diff = 0.0
-    for c, m in zip(rigid._witness_order, class_ends):
+    for _, m in rigid._classes:
         diff = abs(walk1.length(m) - walk2.length(m))
         if diff > tol:
+            c = rigid._witness_class(m)
             return SeparationVerdict(separated=True, first_separating=c, max_diff=float(diff))
         max_diff = max(max_diff, float(diff))
     return SeparationVerdict(separated=False, first_separating=None, max_diff=max_diff)

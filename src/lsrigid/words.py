@@ -387,12 +387,15 @@ def first_classes(
     for length in range(1, max_length + 1):
         if count is not None and 0 <= count <= len(out):
             break
-        canon = {
-            _canonical_rotation(letters, identify_inverse)
-            for letters in _reduced_words(rank, length)
-            if len(letters) < 2 or letters[0] != -letters[-1]  # cyclically reduced
-        }
-        out.extend(ConjClass._of_canonical(c, rank, identify_inverse) for c in sorted(canon, key=word_key))
+        # the words come in word_key order, so the first word met of a class is
+        # its canonical form, and its other words are rotations of it or its inverse
+        met: set[tuple[int, ...]] = set()
+        for letters in _reduced_words(rank, length):
+            if letters in met or letters[0] == -letters[-1]:
+                continue
+            out.append(ConjClass._of_canonical(letters, rank, identify_inverse))
+            forms = (letters, _inverse_cyclic(letters)) if identify_inverse else (letters,)
+            met.update(w[i:] + w[:i] for w in forms for i in range(length))
     return out[:count]
 
 

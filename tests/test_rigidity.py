@@ -18,15 +18,23 @@ Claims covered:
     - the seed-7 set has full rank 2 and recovers the edge lengths of a rose
       from its witness lengths; perturbed targets are inconsistent and a
       rank-deficient set is refused
-    - the builder, which reads witness lengths off the ray and canonicalises
-      only the classes it must compare or keep, gives the entries, witness
-      order and E.csv bytes of the reference builder that canonicalises
-      every candidate, and its word is the ray's letters up to the longest
+    - the builder, which reads witness lengths and cores off the ray and
+      tells classes apart by their cores, gives the entries, the witness
+      classes of each entry, the witness order, the occurrence counts and
+      the E.csv bytes of the reference builder that canonicalises every
+      candidate, and its word is the ray's letters up to the longest
       witness: rank-2 and rank-3 roses and the twisted rose, log, sqrt and
       linear budgets, three seeds each; among them a twisted-rose ray on
       which a kept pair is feasible only because it repeats a chosen class
     - the seed-7 build runs the least-rotation search on at most two passes
       per kept witness class plus the loop checks of find_loop_for_class
+    - two cores of witness classes are one class (inverses identified) iff
+      their canonical rotations are equal: ranks 2 to 4, rotations, inverse
+      rotations, powers such as (ab)^k against (ba)^k, and unrelated words
+    - on the rose [1,2,3] seed-1 set, whose witness classes all have
+      distinct lengths, building the set (its loops found beforehand), the
+      rank check, count_below, the class count of the rank report and an
+      AGREE verification put no word in canonical rotation
     - the builder reads the ray in a doubling prefix: a ray cut right after
       the last kept position gives the same entries, and a ray cut before it
       raises NotFoundError with the horizon of the reference builder
@@ -45,6 +53,7 @@ import gc
 import json
 import math
 import tracemalloc
+from array import array
 from fractions import Fraction
 
 import numpy as np
@@ -67,14 +76,23 @@ from lsrigid.rigidity import (
 )
 
 
+def _entry_classes(rigid, e):
+    """The classes of an entry's two witnesses, each canonicalised from its
+    prefix of the set's word."""
+    letters = tuple(memoryview(rigid.word).cast("b"))
+    witness = lambda m: words.Word(letters[:m], rigid.rank)
+    return tuple(words.cyclic_reduce(witness(m), identify_inverse=True) for m in (e.m1, e.m2))
+
+
 def test_witness_queries_order_and_values(aug2, comp2, td_unit, entry_table_unit):
     ray = psmeasure.sample_ray(aug2, {comp2: td_unit}, entry_table_unit, 20_000, seed=3)
     classes = words.enumerate_classes(2, 2, identify_inverse=True)[:4]
     rigid = rigidity.build_rigid_set(ray, classes, "sqrt", t_max=10_000)
     expected = {}
     for e in rigid.entries:
-        expected.setdefault(e.witness_class1, e.ell1)
-        expected.setdefault(e.witness_class2, e.ell2)
+        wc1, wc2 = _entry_classes(rigid, e)
+        expected.setdefault(wc1, e.ell1)
+        expected.setdefault(wc2, e.ell2)
     order = sorted(expected, key=lambda c: (len(c.letters), words.word_key(c.letters)))
     got = rigid.witness_classes()
     assert got == order
@@ -119,6 +137,9 @@ def test_rigid_set_csv_round_trip(rigid7, tmp_path):
     assert again.word == rigid7.word
     assert [(e.m1, e.m2) for e in again.entries] == [(e.m1, e.m2) for e in rigid7.entries]
     assert again == rigid7
+    classes = [_entry_classes(rigid7, e) for e in rigid7.entries]
+    assert [_entry_classes(again, e) for e in again.entries] == classes
+    assert [(e.ell1, e.ell2) for e in again.entries] == [(len(wc1), len(wc2)) for wc1, wc2 in classes]
     assert again.witness_lengths() == rigid7.witness_lengths()
 
 
@@ -174,9 +195,10 @@ def test_rank_and_length_recovery(rigid7):
 
 
 def test_rank_deficient_set_refused(rigid7):
-    powers = [words.ConjClass.from_str(s, 2, identify_inverse=True) for s in ("a", "aa")]
-    entry = dataclasses.replace(rigid7.entries[0], witness_class1=powers[0], witness_class2=powers[1])
-    deficient = dataclasses.replace(rigid7, entries=(entry,))
+    # the witnesses a and aa: both classes count only the generator a
+    entry = dataclasses.replace(rigid7.entries[0], m1=1, m2=2, ell1=1, ell2=2)
+    deficient = RigidSet(rank=2, word=bytes([1, 1]), entries=(entry,))
+    assert [str(c) for c in deficient.witness_classes()] == ["a", "aa"]
     assert rigidity.rose_rank_check(deficient) == 1
     with pytest.raises(ValidationError, match="rank 1 < 2"):
         rigidity.recover_lengths(deficient, lambda c: 1.0)
@@ -188,11 +210,12 @@ def test_rank_deficient_set_refused(rigid7):
 def _reference_build(ray, classes, budget, t_max, m_max=8):
     """The builder that canonicalises every candidate witness: for each
     candidate past the optimistic check it builds both witnesses and their
-    classes, then tests the budget on the classes kept so far plus these."""
+    classes, then tests the budget on the classes kept so far plus these.
+    The entries, and the witness classes of each entry."""
     budget = parse_budget(budget)
     letters = ray.word_letters()
     rank = ray.structure.rank
-    chosen, entries = {}, []
+    chosen, entries, pairs = {}, [], []
     for c in classes:
         loop = find_loop_for_class(c, ray.component, m_max)
         pattern = ray.structure.resolve(loop.states)
@@ -214,11 +237,12 @@ def _reference_build(ray, classes, budget, t_max, m_max=8):
             if not _budget_feasible(list(tentative.values()), budget, t_max):
                 continue
             chosen = tentative
-            entries.append(RigidSetEntry(c, loop.power, n1, n2, m1, m2, wc1, wc2, len(wc1), len(wc2)))
+            entries.append(RigidSetEntry(c, loop.power, n1, n2, m1, m2, len(wc1), len(wc2)))
+            pairs.append((wc1, wc2))
             break
         else:
             raise NotFoundError("horizon", horizon=len(ray))
-    return entries
+    return entries, pairs
 
 
 def _reference_csv(entries, letters, rank, path):
@@ -235,18 +259,19 @@ def _reference_csv(entries, letters, rank, path):
 
 def _assert_matches_reference(ray, classes, budget, t_max, tmp_path):
     rigid = rigidity.build_rigid_set(ray, classes, budget, t_max=t_max)
-    expected = _reference_build(ray, classes, budget, t_max)
+    expected, pairs = _reference_build(ray, classes, budget, t_max)
     assert list(rigid.entries) == expected
     letters = ray.word_letters()
     longest = max(m for e in expected for m in (e.m1, e.m2))
     assert rigid.word == bytes(l & 0xFF for l in letters[:longest])
+    assert [_entry_classes(rigid, e) for e in rigid.entries] == pairs
     kept = {}
-    for e in expected:
-        kept.setdefault(e.witness_class1, e.ell1)
-        kept.setdefault(e.witness_class2, e.ell2)
+    for wc1, wc2 in pairs:
+        kept.setdefault(wc1, len(wc1))
+        kept.setdefault(wc2, len(wc2))
     assert rigid.witness_classes() == sorted(kept, key=lambda c: (len(c), words.word_key(c.letters)))
     assert rigid.witness_lengths() == kept
-    assert [list(r) for r in rigidity.occurrence_matrix(rigid).counts] == [
+    assert [list(r) for r in rigidity._letter_counts(rigid)] == [
         [sum(1 for l in c.letters if abs(l) == i) for i in range(1, rigid.rank + 1)]
         for c in rigid.witness_classes()
     ]
@@ -295,11 +320,10 @@ def test_builder_keeps_a_pair_that_only_a_repeated_class_makes_feasible(tmp_path
     budget = parse_budget("linear")
     kept, values, repeated = set(), [], []
     for e in rigid.entries:
-        if {e.witness_class1, e.witness_class2} & kept and not _budget_feasible(
-            values + [e.ell1, e.ell2], budget, 10_000
-        ):
+        wc1, wc2 = _entry_classes(rigid, e)
+        if {wc1, wc2} & kept and not _budget_feasible(values + [e.ell1, e.ell2], budget, 10_000):
             repeated.append(e)
-        for wc, ell in ((e.witness_class1, e.ell1), (e.witness_class2, e.ell2)):
+        for wc, ell in ((wc1, e.ell1), (wc2, e.ell2)):
             if wc not in kept:
                 kept.add(wc)
                 values.append(ell)
@@ -322,6 +346,76 @@ def test_seed7_build_canonicalises_only_kept_witnesses(ray7, monkeypatch):
     passed.clear()
     rigid = rigidity.build_rigid_set(ray7, classes, "log", t_max=10_000)
     assert sum(passed) <= 2 * sum(e.ell1 + e.ell2 for e in rigid.entries) + loop_checks
+
+
+def _core(letters):
+    """The cyclic core of the free reduction of a letter sequence."""
+    core = words.free_reduce(letters)
+    while len(core) > 1 and core[0] == -core[-1]:
+        core = core[1:-1]
+    return core
+
+
+@st.composite
+def _core_pairs(draw):
+    """Two cyclically reduced words: unrelated, a rotation of one another or
+    of the other's inverse, or such a pair raised to one power."""
+    rank = draw(st.integers(2, 4))
+    letter = st.integers(1, rank).flatmap(lambda i: st.sampled_from((i, -i)))
+    core = st.lists(letter, min_size=1, max_size=8).map(_core).filter(bool)
+    a = draw(core)
+    kind = draw(st.sampled_from(("other", "rotation", "inverse rotation")))
+    b = draw(core) if kind == "other" else a if kind == "rotation" else tuple(-l for l in reversed(a))
+    k = draw(st.integers(0, len(b) - 1))
+    b = b[k:] + b[:k]
+    power = draw(st.sampled_from((1, 1, 2, 3, 4)))
+    return a * power, b * power
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(_core_pairs())
+def test_same_class_is_equality_of_canonical_forms(pair):
+    a, b = pair
+    same = words._canonical_rotation(a, True) == words._canonical_rotation(b, True)
+    assert rigidity._same_class(array("b", a).tobytes(), array("b", b).tobytes()) == same
+
+
+def test_same_class_on_periodic_words():
+    ab, ba = array("b", (1, 2) * 3).tobytes(), array("b", (2, 1) * 3).tobytes()
+    a_b, b_a = array("b", (1, -2) * 3).tobytes(), array("b", (-2, 1) * 3).tobytes()
+    assert rigidity._same_class(ab, ba) and rigidity._same_class(a_b, b_a)
+    assert rigidity._same_class(ab, array("b", (-1, -2) * 3).tobytes())  # (ab)^-3 = (BA)^3
+    assert not rigidity._same_class(ab, a_b)
+    assert not rigidity._same_class(ab, array("b", (1, 2) * 2).tobytes())
+
+
+def test_the_hot_path_puts_no_class_in_canonical_rotation(monkeypatch):
+    aug, transfer, entry_table = _chain("rose3")
+    ray = psmeasure.sample_ray(aug, transfer, entry_table, 100_000, seed=1)
+    classes = words.first_classes(3, 4, 20, identify_inverse=True)
+    loops = {c: find_loop_for_class(c, ray.component) for c in classes}  # they check their loops canonically
+    calls = []
+    canonical = words._canonical_rotation
+
+    def counted(letters, identify_inverse):
+        calls.append(len(letters))
+        return canonical(letters, identify_inverse)
+
+    monkeypatch.setattr(words, "_canonical_rotation", counted)
+    monkeypatch.setattr(rigidity, "find_loop_for_class", lambda c, comp, m_max: loops[c])
+    rigid = rigidity.build_rigid_set(ray, classes, "log", t_max=10_000)
+    rank = rigidity.rose_rank_check(rigid)
+    counts = rigid.count_below([1, 100, 10_000, 20_000])
+    n_classes = rigid.n_witness_classes
+    same_point = _inner_twist_pair((Fraction(1), Fraction(2), Fraction(3)), (2, -3))
+    verdict = rigidity.verify_separation(rigid, *same_point)
+    assert calls == []
+    monkeypatch.undo()
+    lengths = [len(c) for c in rigid.witness_classes()]
+    assert len(set(lengths)) == len(lengths) == n_classes == 35
+    assert rank == 3
+    assert counts == [sum(1 for ell in lengths if ell < t) for t in (1, 100, 10_000, 20_000)]
+    assert verdict.verdict == "AGREE"
 
 
 def test_builder_reads_only_the_ray_prefix_it_uses(tmp_path):
@@ -412,8 +506,7 @@ def test_prefix_walk_reads_the_translation_length_of_every_class(rigid7):
     twist3 = _inner_twist_pair((Fraction(1, 2), Fraction(5, 4), Fraction(3)), (-3, 2))
     for rigid, graphs in ((rigid7, [*twist2, *_pairs(2, 1, 16)[0]]), (_rank3_set(), [*twist3, *_pairs(3, 1, 17)[0]])):
         letters = memoryview(rigid.word).cast("b")
-        class_ends, ends = rigid._class_ends
         for graph in graphs + [treemetric.as_float(g) for g in graphs]:
-            walk = rigidity._PrefixWalk(graph, letters, ends)
-            for c, m in zip(rigid.witness_classes(), class_ends):
+            walk = rigidity._PrefixWalk(graph, letters, rigid._class_ends)
+            for c, (_, m) in zip(rigid.witness_classes(), rigid._classes):
                 assert walk.length(m) == graph.translation_length(c)

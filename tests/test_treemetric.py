@@ -291,11 +291,13 @@ def test_translation_length_is_a_class_function(rose12, twisted, subdivided_rose
 
 def test_witness_deviation_matches_the_reference(rigid7, rose12, twisted, theta, barbell):
     ell = lambda metric, c: _reference_translation_length(metric, c.representative())
+    letters = tuple(memoryview(rigid7.word).cast("b"))
+    witness = lambda m: words.cyclic_reduce(words.Word(letters[:m], 2), identify_inverse=True)
     for graph in (rose12, twisted, theta, barbell):
         for metric in (graph, treemetric.as_float(graph)):
             for e in rigid7.entries:
-                ref = abs(ell(metric, e.witness_class2) - ell(metric, e.witness_class1) - e.power * ell(metric, e.cls))
-                _assert_same(rigidity.witness_deviation(e, metric), ref)
+                ref = abs(ell(metric, witness(e.m2)) - ell(metric, witness(e.m1)) - e.power * ell(metric, e.cls))
+                _assert_same(rigidity.witness_deviation(rigid7, e, metric), ref)
 
 
 def test_rank_mismatch_refused(rose12):

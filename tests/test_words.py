@@ -7,7 +7,8 @@ Claims covered:
     - words and classes spell through one table as ``letter_to_char`` does,
       for every letter of every rank, and a spelled word parses back
     - cyclic reduction is conjugation invariant with canonical rotations
-    - sphere and class enumerations match independent brute-force oracles
+    - sphere and class enumerations match independent brute-force oracles,
+      the class enumeration in its order at ranks 2 to 4, lengths 4 and 5
     - resource guards trip before oversized enumerations
     - the least rotation is the least of all rotations, periodic words
       (many candidate starts) included
@@ -125,6 +126,16 @@ def test_enumerate_classes_examples():
 def test_enumerate_classes_inverse_identified_oracle():
     got = {c.letters for c in words.enumerate_classes(2, 3, identify_inverse=True)}
     assert got == _oracle_classes(2, 3, True)
+
+
+@pytest.mark.parametrize("identify_inverse", [False, True])
+@pytest.mark.parametrize("rank,max_len", [(2, 5), (3, 4), (4, 4)])
+def test_enumerate_classes_matches_the_oracle_in_order(rank, max_len, identify_inverse):
+    # the enumeration keeps the first word it meets of each class and
+    # canonicalises none; every class is found once, in (length, word_key) order
+    got = [c.letters for c in words.enumerate_classes(rank, max_len, identify_inverse)]
+    oracle = _oracle_classes(rank, max_len, identify_inverse)
+    assert got == sorted(oracle, key=lambda c: (len(c), words.word_key(c)))
 
 
 def test_resource_guards():
